@@ -189,11 +189,11 @@ attack:
 		-accesses 512 -recovery -recovery-clear-delay 8000
 
 # bench-smoke: short end-to-end benchmarks so regressions on the engine
-# and the secured memory path surface in CI logs (the crypto-stack
-# microbenchmarks ride along from internal/hashtree).
+# (busy and stall-heavy) and the secured memory path surface in CI logs
+# (the crypto-stack microbenchmarks ride along from internal/hashtree).
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineThroughput|BenchmarkSecureMemoryThroughput' \
+		-bench 'BenchmarkEngineThroughput|BenchmarkEngineSecureThroughput|BenchmarkSecureMemoryThroughput' \
 		-benchtime=100x -benchmem .
 	$(GO) test -run '^$$' -bench . -benchtime=100x -benchmem ./internal/hashtree
 
@@ -216,7 +216,7 @@ bench-json:
 	@mkdir -p $(BUILD)
 	$(GO) build -o $(BUILD)/benchjson ./tools/benchjson
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineThroughput|BenchmarkSecureMemoryThroughput' \
+		-bench 'BenchmarkEngineThroughput|BenchmarkEngineSecureThroughput|BenchmarkSecureMemoryThroughput' \
 		-benchtime=3000x -count=3 -benchmem . > $(BUILD)/bench.txt
 	$(GO) test -run '^$$' -bench . -benchtime=3000x -count=3 -benchmem \
 		./internal/aes ./internal/hashtree ./internal/core >> $(BUILD)/bench.txt

@@ -243,6 +243,23 @@ func (b *Bus) Tick(now uint64) {
 	b.complete(tx, total)
 }
 
+// NextTick implements sim.Sleeper: with requests queued the bus next
+// grants when its current transfer ends; with none, only a Submit (from an
+// event or another ticker) gives it work.
+func (b *Bus) NextTick(now uint64) uint64 {
+	if b.waiting == 0 {
+		return sim.Never
+	}
+	if now < b.busyUntil {
+		return b.busyUntil
+	}
+	return now
+}
+
+// Skip implements sim.Sleeper: an idle or occupied bus counts nothing per
+// cycle.
+func (b *Bus) Skip(uint64) {}
+
 // pick selects the next master with pending work according to the
 // arbitration policy.
 func (b *Bus) pick() *MasterPort {

@@ -362,6 +362,12 @@ func RunOne(cfg Config) Record {
 // run executes. A nil tracer is RunOne exactly — no subscriptions, no
 // extra work on the hot path.
 func RunOneTrace(cfg Config, tr *obs.Tracer) Record {
+	return runOne(cfg, tr, soc.NewPair)
+}
+
+// runOne is RunOneTrace with the pair constructor as a parameter, so the
+// package's tests can run a grid point on platforms they instrument.
+func runOne(cfg Config, tr *obs.Tracer, newPair func(soc.Config) (*soc.Pair, error)) Record {
 	cfg = cfg.Normalize()
 	rec := Record{
 		Name:       cfg.Name(),
@@ -403,7 +409,7 @@ func RunOneTrace(cfg Config, tr *obs.Tracer) Record {
 		socCfg.QuarantineThreshold = cfg.Recovery.QuarantineThreshold
 		socCfg.QuarantineWindow = cfg.Recovery.QuarantineWindow
 	}
-	pair, err := soc.NewPair(socCfg)
+	pair, err := newPair(socCfg)
 	if err != nil {
 		return fail(err)
 	}

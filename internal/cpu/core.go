@@ -75,7 +75,7 @@ type Config struct {
 // Stats exposes the core's performance counters. The JSON form feeds the
 // sweep pipeline's per-core breakdowns.
 type Stats struct {
-	Cycles       uint64 `json:"cycles"`       // cycles the core was ticked while running
+	Cycles       uint64 `json:"cycles"`       // cycles while running (not halted), stalls included, whether stepped or skipped by the engine
 	Instructions uint64 `json:"instructions"` // retired instructions
 	StallCycles  uint64 `json:"stall_cycles"` // cycles spent waiting on the bus
 	LocalOps     uint64 `json:"local_ops"`    // loads/stores satisfied by local memory
@@ -106,6 +106,7 @@ type Core struct {
 	haltCycle uint64 // cycle the current halt happened (valid while halted)
 	waitBus   bool
 	pause     uint64 // extra cycles to burn (local mem op)
+	awake     bool   // !halted && !waitBus, as last reported to the engine
 
 	scratch uint32
 	thread  uint32
@@ -161,6 +162,7 @@ func New(eng *sim.Engine, cfg Config, conn bus.Conn) *Core {
 	c.busDone = c.onBusDone
 	c.icache = make([]isa.Instr, cfg.LocalSize/4)
 	eng.AddTicker(c)
+	c.syncAwake()
 	return c
 }
 
@@ -206,6 +208,7 @@ func (c *Core) Load(p *isa.Program) {
 	c.halted = false
 	c.cause = HaltNone
 	c.haltCycle = 0
+	c.syncAwake()
 }
 
 // Reset rewinds architectural state (registers, pc, counters) without
@@ -224,12 +227,48 @@ func (c *Core) Reset() {
 	c.epc = 0
 	c.ivec = 0
 	c.stats = Stats{}
+	c.syncAwake()
 }
 
 func (c *Core) halt(cause HaltCause) {
 	c.halted = true
 	c.cause = cause
 	c.haltCycle = c.eng.Now()
+	c.syncAwake()
+}
+
+// syncAwake reports a change of sleep state to the engine (sim.Engine.Wake
+// and Doze). A core sleeps while it is halted or stalled on the bus: only
+// Load, Reset or its bus completion event can change its state then.
+func (c *Core) syncAwake() {
+	awake := !c.halted && !c.waitBus
+	if awake == c.awake {
+		return
+	}
+	c.awake = awake
+	if awake {
+		c.eng.Wake()
+	} else {
+		c.eng.Doze()
+	}
+}
+
+// NextTick implements sim.Sleeper: a running core needs every cycle; a
+// halted or stalled one waits for an event.
+func (c *Core) NextTick(now uint64) uint64 {
+	if c.halted || c.waitBus {
+		return sim.Never
+	}
+	return now
+}
+
+// Skip implements sim.Sleeper: a core stalled on the bus counts every
+// elided cycle as a running stall cycle, exactly as Tick would have.
+func (c *Core) Skip(n uint64) {
+	if !c.halted && c.waitBus {
+		c.stats.Cycles += n
+		c.stats.StallCycles += n
+	}
 }
 
 // HaltCycle reports the cycle the core halted at, and whether it is
@@ -494,6 +533,7 @@ func (c *Core) memOp(in isa.Instr, addr uint32, storeVal uint32, next uint32) {
 	c.busRd = in.Rd
 	c.busOp = in.Op
 	c.busNext = next
+	c.syncAwake()
 	c.conn.Submit(tx, c.busDone)
 }
 
@@ -517,6 +557,7 @@ func (c *Core) onBusDone(done *bus.Transaction) {
 	}
 	c.stats.Instructions++
 	c.pc = c.busNext
+	c.syncAwake()
 }
 
 // busError emulates the response to a locally detected bad access.

@@ -166,6 +166,18 @@ func (d *DMA) Tick(now uint64) {
 	d.conn.Submit(rd, d.onRead)
 }
 
+// NextTick implements sim.Sleeper: an idle engine, or one waiting on its
+// chunk, has nothing to do until a register write or a bus completion.
+func (d *DMA) NextTick(now uint64) uint64 {
+	if !d.Busy() || d.pending {
+		return sim.Never
+	}
+	return now
+}
+
+// Skip implements sim.Sleeper: the copy loop counts nothing per cycle.
+func (d *DMA) Skip(uint64) {}
+
 // readDone turns a fetched chunk around into the write half of the copy.
 func (d *DMA) readDone(rdDone *bus.Transaction) {
 	if !rdDone.Resp.OK() {

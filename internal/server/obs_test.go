@@ -367,6 +367,37 @@ func TestPublishLockedDrops(t *testing.T) {
 	}
 }
 
+// TestFinishDeliversTerminalEventsToFullSubscriber: a subscriber whose
+// buffer is already full still receives the terminal snapshot and state
+// (older messages are dropped and counted instead), so its /events
+// stream always ends on the job's final state.
+func TestFinishDeliversTerminalEventsToFullSubscriber(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	st := submit(t, ts, campaignSpecJSON(t), "")
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	sub := &subscriber{id: 1, ch: make(chan sseMsg, 2)}
+	j.mu.Lock()
+	j.subs = append(j.subs, sub)
+	s.publishLocked(j, "retry", []byte("a"))
+	s.publishLocked(j, "retry", []byte("b")) // the buffer is now full
+	j.mu.Unlock()
+
+	s.finish(j, context.Background(), nil)
+
+	var got []string
+	for m := range sub.ch {
+		got = append(got, m.event)
+	}
+	if len(got) != 2 || got[0] != "snapshot" || got[1] != "state" {
+		t.Fatalf("subscriber received %v, want [snapshot state]", got)
+	}
+	if n := s.sseDropped.Load(); n != 2 {
+		t.Fatalf("sseDropped = %d, want 2", n)
+	}
+}
+
 // TestSlowEventsSubscriberDoesNotStallJob leaves an /events subscriber
 // completely unread while a job streams to completion under a 1-record
 // snapshot cadence; the job must finish regardless.

@@ -878,12 +878,34 @@ func (s *Server) finish(j *Job, ctx context.Context, err error) {
 	// then close every subscriber channel so /events handlers end their
 	// streams. Later subscribers get an immediate replay instead.
 	if len(j.subs) > 0 {
-		s.publishLocked(j, "snapshot", mustJSON(j.aggregatesLocked()))
-		s.publishLocked(j, "state", mustJSON(j.statusLocked()))
+		snap := sseMsg{event: "snapshot", data: mustJSON(j.aggregatesLocked())}
+		state := sseMsg{event: "state", data: mustJSON(j.statusLocked())}
 		for _, sub := range j.subs {
+			s.sendFinalLocked(sub.ch, snap)
+			s.sendFinalLocked(sub.ch, state)
 			close(sub.ch)
 		}
 		j.subs = nil
+	}
+}
+
+// sendFinalLocked delivers one of a subscriber's closing messages even
+// when its buffer is full, by dropping (and counting) the oldest queued
+// message instead: a lagging feed may lose intermediate events, never its
+// terminal snapshot and state. It never blocks: j.mu is held, so no other
+// send can take the slot a drop frees.
+func (s *Server) sendFinalLocked(ch chan sseMsg, m sseMsg) {
+	for {
+		select {
+		case ch <- m:
+			return
+		default:
+		}
+		select {
+		case <-ch:
+			s.sseDropped.Add(1)
+		default:
+		}
 	}
 }
 

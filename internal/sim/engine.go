@@ -3,9 +3,9 @@
 //
 // The engine advances a global cycle counter. Work is expressed two ways:
 //
-//   - Tickers: components registered with AddTicker are called exactly once
-//     per cycle, in registration order. This models always-on synchronous
-//     logic (CPU cores, bus arbiters).
+//   - Tickers: components registered with AddTicker are called once per
+//     stepped cycle, in registration order. This models always-on
+//     synchronous logic (CPU cores, bus arbiters).
 //   - Events: one-shot callbacks scheduled at an absolute or relative cycle.
 //     Events scheduled for the same cycle fire in scheduling order, giving
 //     bit-identical runs for identical inputs.
@@ -15,6 +15,25 @@
 // current cycle run before the cycle ends (after all tickers), so a
 // component may hand work to another component with zero-cycle latency when
 // modeling combinational paths.
+//
+// # Quiescent cycles
+//
+// A stalled platform spends most of its cycles waiting: a core blocked on
+// a secured off-chip access sits through the whole SB/DDR/IC/CC pipeline
+// with nothing to do. Run and RunUntil jump over such cycles instead of
+// stepping them. A ticker that implements Sleeper says, between cycles,
+// when it next needs a tick; when no event is due and every ticker sleeps,
+// the engine moves the clock straight to the earliest of the next event,
+// the earliest ticker wake-up and the end of the call's budget, and
+// credits the elided cycles to each sleeper in bulk (Sleeper.Skip). No
+// simulated state other than those credits changes in an elided cycle, so
+// results are cycle-for-cycle those of stepping every cycle.
+//
+// A ticker that is not a Sleeper (a TickFunc, say) is called every cycle
+// and disables skipping for its engine; an engine without tickers steps
+// every cycle too. Those are the per-cycle reference the equivalence tests
+// compare against. Step and Drain always advance exactly one cycle at a
+// time.
 //
 // # Event queue implementation
 //
@@ -35,7 +54,9 @@
 // runs backwards), so every heap-resident event for a cycle was scheduled
 // before every ring-resident event for the same cycle. Firing heap events
 // first (in cycle, then schedule order) therefore preserves global FIFO
-// order within a cycle.
+// order within a cycle. A jump over quiescent cycles stops at the next
+// event and only moves the clock forward, so it never passes an event and
+// the argument holds across jumps.
 package sim
 
 import (
@@ -45,9 +66,30 @@ import (
 
 // Ticker is synchronous logic evaluated once per cycle.
 type Ticker interface {
-	// Tick is called exactly once per simulated cycle with the current
-	// cycle number.
+	// Tick is called once per stepped cycle with the current cycle
+	// number. A ticker that cannot sleep (is not a Sleeper) is called
+	// exactly once per simulated cycle, since its engine never skips.
 	Tick(now uint64)
+}
+
+// Never is the wake-up cycle of a Sleeper that only an event can wake.
+const Never = math.MaxUint64
+
+// Sleeper is a Ticker that can report the cycles it would sleep through,
+// which lets the engine jump over them.
+type Sleeper interface {
+	Ticker
+	// NextTick returns the first cycle at or after now whose Tick may
+	// change state beyond what Skip accounts for, assuming no event
+	// fires before then, or Never when only an event can wake the
+	// sleeper. The engine asks only between cycles, after every event
+	// of the previous cycle has fired, so the answer must be computed
+	// from current state rather than remembered from the last Tick.
+	NextTick(now uint64) uint64
+	// Skip stands in for n consecutive Tick calls that the engine
+	// elided because no event was due and every ticker slept through
+	// them: it applies whatever those ticks would have counted.
+	Skip(n uint64)
 }
 
 // TickFunc adapts a plain function to the Ticker interface.
@@ -87,9 +129,19 @@ type farEvent struct {
 // Engine is the cycle-driven simulation kernel. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
-	now     uint64
-	seq     uint64
-	tickers []Ticker
+	now      uint64
+	seq      uint64
+	tickers  []Ticker
+	sleepers []Sleeper // the tickers that implement Sleeper
+
+	// awake counts reasons to step the next cycle without looking for a
+	// jump: tickers that declared themselves awake (Wake/Doze), plain
+	// Tickers (permanently), and, until the first AddTicker, the empty
+	// ticker list. Run and RunUntil try to skip only while it is zero, so
+	// an active cycle pays one comparison. It is only a hint: whether a
+	// cycle can be skipped is always decided by asking every Sleeper.
+	awake  int
+	elided uint64 // cycles jumped over rather than stepped
 
 	// Calendar queue: ring[c & (ringWindow-1)] buckets events due at
 	// cycle c within the near window; far holds everything else as a
@@ -113,7 +165,7 @@ func NewEngine(freq Frequency) *Engine {
 	if freq <= 0 {
 		freq = DefaultFrequency
 	}
-	return &Engine{freq: freq}
+	return &Engine{freq: freq, awake: 1}
 }
 
 // Now returns the current cycle number.
@@ -122,14 +174,40 @@ func (e *Engine) Now() uint64 { return e.now }
 // Frequency returns the simulated clock frequency.
 func (e *Engine) Frequency() Frequency { return e.freq }
 
+// Elided returns how many cycles Run and RunUntil jumped over instead of
+// stepping; Now() - Elided() were stepped.
+func (e *Engine) Elided() uint64 { return e.elided }
+
 // AddTicker registers t to be ticked once per cycle. Tickers run in
-// registration order after all events due in the cycle have fired.
+// registration order after all events due in the cycle have fired. A
+// ticker that does not implement Sleeper is ticked every cycle and turns
+// cycle skipping off for this engine.
 func (e *Engine) AddTicker(t Ticker) {
 	if t == nil {
 		panic("sim: AddTicker(nil)")
 	}
+	if len(e.tickers) == 0 {
+		e.awake-- // the ticker list is no longer empty
+	}
 	e.tickers = append(e.tickers, t)
+	if s, ok := t.(Sleeper); ok {
+		e.sleepers = append(e.sleepers, s)
+	} else {
+		e.awake++
+	}
 }
+
+// Wake and Doze keep the engine's count of sleepers that are awake: a
+// Sleeper calls Wake when it starts needing every cycle and Doze when it
+// stops, one Doze per Wake. While any sleeper is awake, the engine steps
+// without asking the sleepers for their next tick, which keeps busy
+// cycles as cheap as they are without skipping. The count is only a
+// hint: a sleeper that never calls them is asked whenever the others are
+// all asleep, and NextTick alone decides whether cycles are skipped.
+func (e *Engine) Wake() { e.awake++ }
+
+// Doze is the counterpart of Wake.
+func (e *Engine) Doze() { e.awake-- }
 
 // Schedule runs fn after delay cycles (delay 0 means later in the current
 // cycle if the engine is mid-step, otherwise at the current cycle).
@@ -263,9 +341,10 @@ func farLess(a, b farEvent) bool {
 }
 
 // Run advances the simulation by n cycles (or until Stop is called) and
-// returns the number of cycles actually executed. A stop requested before
-// Run is entered (for example by an event that fired at the tail of a
-// previous Run) is honored: Run consumes it and returns 0 immediately.
+// returns the number of cycles actually executed, stepped or skipped (see
+// the package comment). A stop requested before Run is entered (for
+// example by an event that fired at the tail of a previous Run) is
+// honored: Run consumes it and returns 0 immediately.
 func (e *Engine) Run(n uint64) uint64 {
 	if e.stopped {
 		e.stopped = false
@@ -277,6 +356,11 @@ func (e *Engine) Run(n uint64) uint64 {
 			e.stopped = false // honored: this run ends early
 			return done
 		}
+		if e.awake == 0 && done > 0 {
+			if done += e.skip(n - done); done == n {
+				break
+			}
+		}
 		e.Step()
 		done++
 	}
@@ -287,10 +371,13 @@ func (e *Engine) Run(n uint64) uint64 {
 
 // RunUntil steps the engine until cond returns true, Stop is called, or max
 // cycles elapse. It returns the number of cycles executed and whether cond
-// was satisfied. cond is evaluated before each step, so a condition that is
-// already true costs zero cycles. A stop pending from before the call is
-// consumed and returns (0, false) without stepping; as with Run, a stop
-// that fires during the final step stays pending for the next call.
+// was satisfied. cond is evaluated before each stepped cycle, so a
+// condition that is already true costs zero cycles. It is not evaluated
+// inside skipped cycles, so it must depend only on simulated state that a
+// skipped cycle cannot change — halt and completion flags, not Now or the
+// cores' cycle counters. A stop pending from before the call is consumed
+// and returns (0, false) without stepping; as with Run, a stop that fires
+// during the final step stays pending for the next call.
 func (e *Engine) RunUntil(cond func() bool, max uint64) (cycles uint64, ok bool) {
 	if e.stopped {
 		e.stopped = false
@@ -304,13 +391,67 @@ func (e *Engine) RunUntil(cond func() bool, max uint64) (cycles uint64, ok bool)
 			e.stopped = false
 			return cycles, false
 		}
+		if e.awake == 0 && cycles > 0 {
+			if cycles += e.skip(max - cycles); cycles == max {
+				break
+			}
+		}
 		e.Step()
 	}
 	return cycles, cond()
 }
 
-// Drain runs until the event queue is empty or max cycles elapse. Tickers
-// still run each cycle; Drain is intended for tests of pure event logic.
+// skip jumps the clock over the cycles from now on, at most budget of
+// them, in which no event is due and every ticker sleeps, credits them to
+// the sleepers, and returns how many it jumped. Run and RunUntil call it
+// only between cycles and only after stepping at least one cycle in the
+// call, so every event of the previous cycle has fired and the sleepers
+// report their state as the cycle left it.
+func (e *Engine) skip(budget uint64) uint64 {
+	if len(e.ring[e.now&(ringWindow-1)]) > 0 {
+		return 0 // an event is due this cycle
+	}
+	end := e.now + budget
+	if end < e.now {
+		end = Never
+	}
+	for _, s := range e.sleepers {
+		if w := s.NextTick(e.now); w < end {
+			if w <= e.now {
+				return 0
+			}
+			end = w
+		}
+	}
+	if len(e.far) > 0 && e.far[0].cycle < end {
+		end = e.far[0].cycle
+	}
+	if e.pending > len(e.far) {
+		// Ring events all lie in [now, now+ringWindow); bucket c holds
+		// only events for cycle c, so the first non-empty one is the
+		// next ring event.
+		for c := e.now + 1; c < end && c < e.now+ringWindow; c++ {
+			if len(e.ring[c&(ringWindow-1)]) > 0 {
+				end = c
+				break
+			}
+		}
+	}
+	if end <= e.now {
+		return 0
+	}
+	n := end - e.now
+	for _, s := range e.sleepers {
+		s.Skip(n)
+	}
+	e.now = end
+	e.elided += n
+	return n
+}
+
+// Drain runs until the event queue is empty or max cycles elapse. It steps
+// every cycle, ticking every ticker; Drain is intended for tests of pure
+// event logic.
 func (e *Engine) Drain(max uint64) uint64 {
 	var done uint64
 	for done < max && e.pending > 0 {
