@@ -209,7 +209,10 @@
 // healthy (drain-aware /healthz) backend, k-way merged via sweep.Merge
 // into the single-node byte stream, with mid-stream backend death
 // handled by re-dispatching the shard and fast-forwarding past the
-// already-merged bytes. internal/faultpoint supplies the named,
+// already-merged bytes. Merged lines and locally computed records reach
+// the client through one delivery step (write, flush, journal ack,
+// aggregate fold, archive), so a journaled coordinator acks, archives and
+// replays exactly like a single node. internal/faultpoint supplies the named,
 // env-armed crash/error/stall sites (MPSOCD_FAULTPOINTS=
 // journal.ack=crash@5) threaded through the journal, the shard executor
 // and the coordinator; disarmed they cost one atomic load. `make chaos`
@@ -235,9 +238,10 @@
 // (/events: state transitions plus partial aggregate snapshots every N
 // records, bounded non-blocking fan-out so a stalled dashboard can never
 // stall a job), per-job Chrome traces (?trace=N at submit, /trace to
-// fetch), and Prometheus text exposition on /metrics via content
-// negotiation — both renderings from one registry struct, kept in sync
-// by a reflection test.
+// fetch; a coordinator runs no simulation, so it serves no per-run
+// traces and rejects ?trace=N), and Prometheus text exposition on
+// /metrics via content negotiation — both renderings from one registry
+// struct, kept in sync by a reflection test.
 //
 // internal/hostobs is the wall-clock counterpart for operating the
 // daemons themselves, strictly off the result path: structured log/slog

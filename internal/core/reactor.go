@@ -36,16 +36,10 @@ type Reactor struct {
 	// (quarantine stamps come from the triggering alert itself).
 	// soc.New wires it to the engine clock.
 	Clock func() uint64
-	// OnQuarantine, when set, runs synchronously after a master's policy
-	// has been rewritten to deny-all — both on a threshold trip and on a
-	// probation violation. The supervisor model in internal/recovery uses
-	// it to schedule the release.
-	OnQuarantine func(master string, cycle uint64)
-
-	// observers receive every lifecycle transition (OnEvent). Unlike the
-	// single OnQuarantine slot — owned by the recovery supervisor — this
-	// is a multicast hook, so tracing can watch the reactor without
-	// displacing the control loop.
+	// observers receive every lifecycle transition (OnEvent). The hook is
+	// multicast: the recovery supervisor schedules releases from the
+	// quarantine kinds, and tracing watches the same stream without
+	// displacing that control loop.
 	observers []func(ReactorEvent)
 
 	guarded   map[string]*ConfigMemory
@@ -107,7 +101,7 @@ const (
 
 // OnEvent registers an observer for every lifecycle transition. Observers
 // run synchronously in registration order, after the transition's policy
-// rewrite (and after OnQuarantine for the quarantine kinds).
+// rewrite.
 func (r *Reactor) OnEvent(fn func(ReactorEvent)) {
 	if fn == nil {
 		panic("core: OnEvent(nil)")
@@ -275,7 +269,7 @@ func (r *Reactor) ReleaseStaged(master string, allow func(Policy) bool) error {
 }
 
 // quarantine rewrites the master's policy to deny-all, stamps the
-// incident, and notifies OnQuarantine. firstAlert is the earliest
+// incident, and notifies the observers. firstAlert is the earliest
 // violation cycle attributed to the incident.
 func (r *Reactor) quarantine(master string, cm *ConfigMemory, firstAlert, cycle uint64) {
 	if _, open := r.open[master]; !open {
@@ -297,9 +291,6 @@ func (r *Reactor) quarantine(master string, cm *ConfigMemory, firstAlert, cycle 
 	}
 	r.history[master] = nil
 	r.Quarantines++
-	if r.OnQuarantine != nil {
-		r.OnQuarantine(master, cycle)
-	}
 	r.notify(EventQuarantine, master, cycle)
 }
 
@@ -323,9 +314,6 @@ func (r *Reactor) onAlert(a Alert) {
 			cm.Remove(p.SPI)
 		}
 		r.Quarantines++
-		if r.OnQuarantine != nil {
-			r.OnQuarantine(a.Master, a.Cycle)
-		}
 		r.notify(EventRequarantine, a.Master, a.Cycle)
 		return
 	}

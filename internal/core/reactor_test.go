@@ -197,16 +197,19 @@ func TestReactorStampsQuarantineAndRelease(t *testing.T) {
 	eng, lf, r := reactorRig(t, 2, 0)
 	r.Clock = eng.Now
 	fired := []uint64{}
-	r.OnQuarantine = func(master string, cycle uint64) {
-		if master != "cpu0" {
-			t.Fatalf("OnQuarantine for %q", master)
+	r.OnEvent(func(e core.ReactorEvent) {
+		if e.Kind != core.EventQuarantine && e.Kind != core.EventRequarantine {
+			return
 		}
-		fired = append(fired, cycle)
-	}
+		if e.Master != "cpu0" {
+			t.Fatalf("quarantine event for %q", e.Master)
+		}
+		fired = append(fired, e.Cycle)
+	})
 	probe(t, eng, lf, 0x7000_0000)
 	probe(t, eng, lf, 0x7000_0000)
 	if len(fired) != 1 {
-		t.Fatalf("OnQuarantine fired %d times", len(fired))
+		t.Fatalf("quarantine events fired %d times", len(fired))
 	}
 	eng.Run(100)
 	if err := r.Release("cpu0"); err != nil {
@@ -218,7 +221,7 @@ func TestReactorStampsQuarantineAndRelease(t *testing.T) {
 	}
 	s := st[0]
 	if s.Master != "cpu0" || s.QuarantinedAt != fired[0] {
-		t.Fatalf("stamp %+v, OnQuarantine at %d", s, fired[0])
+		t.Fatalf("stamp %+v, quarantine event at %d", s, fired[0])
 	}
 	if s.FirstAlert == 0 || s.FirstAlert > s.QuarantinedAt {
 		t.Fatalf("first alert %d after quarantine %d", s.FirstAlert, s.QuarantinedAt)

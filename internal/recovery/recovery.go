@@ -141,20 +141,23 @@ func Attach(s *soc.System, p Params) *Supervisor {
 		gen:        make(map[string]uint64),
 	}
 	if s.Reactor != nil {
-		s.Reactor.OnQuarantine = sup.onQuarantine
+		s.Reactor.OnEvent(sup.onEvent)
 	}
 	return sup
 }
 
-// onQuarantine runs synchronously when the reactor writes a deny-all
-// policy — on the initial threshold trip and on every probation
-// re-quarantine. Each trigger advances the master's generation so release
-// events scheduled for superseded incidents turn into no-ops.
-func (sup *Supervisor) onQuarantine(master string, cycle uint64) {
-	sup.gen[master]++
-	g := sup.gen[master]
-	sup.sys.Eng.ScheduleAt(cycle+sup.ClearDelay, func(now uint64) {
-		sup.clear(master, g, now)
+// onEvent runs synchronously on every reactor transition and acts on the
+// ones that write a deny-all policy — the initial threshold trip and every
+// probation re-quarantine. Each trigger advances the master's generation
+// so release events scheduled for superseded incidents turn into no-ops.
+func (sup *Supervisor) onEvent(e core.ReactorEvent) {
+	if e.Kind != core.EventQuarantine && e.Kind != core.EventRequarantine {
+		return
+	}
+	sup.gen[e.Master]++
+	g := sup.gen[e.Master]
+	sup.sys.Eng.ScheduleAt(e.Cycle+sup.ClearDelay, func(now uint64) {
+		sup.clear(e.Master, g, now)
 	})
 }
 

@@ -8,19 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/faultpoint"
 	"repro/internal/hostobs"
 	"repro/internal/sweep"
 )
-
-// mergeStallNanos is the merge-stall warning threshold: a single client
-// write+flush blocking longer than this gets a structured warn, because
-// fleet backpressure means a stalled coordinator client is stalling every
-// backend behind it.
-const mergeStallNanos = int64(100 * time.Millisecond)
 
 // Fleet coordination. A Server with Config.Backends set simulates nothing
 // itself: it accepts the same spec API, splits each job's grid into one
@@ -30,6 +22,14 @@ const mergeStallNanos = int64(100 * time.Millisecond)
 // streams back through sweep.Merge — producing the exact byte stream a
 // single-node run of the same spec would have, which is what the chaos
 // gate checks.
+//
+// The merge is only a record source. Each merged line goes to the same
+// deliver step as a locally computed record (server.go): written and
+// flushed to the client, then decoded once, acked to the journal, folded
+// into the aggregates and archived — so /aggregates, /events, records
+// counts and journal replay behave on a coordinator exactly as on a
+// single node. A coordinator serves no per-run traces: it runs no
+// simulation, so it rejects ?trace=N at submit.
 //
 // The design is goroutine-free (keeping the determinism lint clean): each
 // backend stream is dispatched sequentially — cheap, because handleStream
@@ -69,9 +69,10 @@ func (s *Server) healthy(ctx context.Context, backend string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// runFleet executes a job by fanning its grid across the healthy backends
-// and merging the shard streams. Called from run() when Backends is set.
-func (s *Server) runFleet(ctx context.Context, j *Job, w io.Writer, rc *http.ResponseController, streamed bool) error {
+// runFleet is a coordinator's record source: it fans the job's grid across
+// the healthy backends and hands each merged line to deliver. Called from
+// run() when Backends is set.
+func (s *Server) runFleet(ctx context.Context, j *Job, deliver func(record) error) error {
 	h := s.cfg.Host
 	var live []string
 	for _, b := range s.cfg.Backends {
@@ -121,7 +122,20 @@ func (s *Server) runFleet(ctx context.Context, j *Job, w io.Writer, rc *http.Res
 		streams[i] = fs
 		closers = append(closers, fs)
 	}
-	return sweep.Merge(&fleetSink{s: s, j: j, rc: rc, streamed: streamed, w: w}, streams...)
+	return sweep.Merge(lineWriter(func(p []byte) error {
+		return deliver(record{line: bytes.TrimSuffix(p, []byte("\n"))})
+	}), streams...)
+}
+
+// lineWriter adapts a line consumer to sweep.Merge's output, which
+// writes exactly one merged line per call.
+type lineWriter func(p []byte) error
+
+func (f lineWriter) Write(p []byte) (int, error) {
+	if err := f(p); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // fleetStream is one sub-shard's merged input: a live backend response
@@ -261,95 +275,6 @@ func (f *fleetStream) dispatchTo(backend string) (io.ReadCloser, error) {
 		return nil, fmt.Errorf("stream: status %d", sresp.StatusCode)
 	}
 	return sresp.Body, nil
-}
-
-// fleetSink is the merge output: it forwards each merged record line to
-// the client and folds it into the job's aggregates, so /aggregates,
-// /events snapshots and record counts work identically to a local run.
-// sweep.Merge writes exactly one line per call.
-type fleetSink struct {
-	s        *Server
-	j        *Job
-	w        io.Writer
-	rc       *http.ResponseController
-	streamed bool
-}
-
-func (fs *fleetSink) Write(p []byte) (int, error) {
-	h := fs.s.cfg.Host
-	writeStart := h.NowNanos()
-	if _, err := fs.w.Write(p); err != nil {
-		return 0, err
-	}
-	if fs.rc != nil {
-		if err := fs.rc.Flush(); err != nil {
-			return 0, err
-		}
-	}
-	// Backpressure diagnosis: a client write blocking this long means the
-	// whole fleet is stalled behind the coordinator's client.
-	if d := h.NowNanos() - writeStart; d > mergeStallNanos {
-		h.Warn("merge stall", hostobs.Fields{Job: fs.j.id, Trace: fs.j.traceID,
-			Detail: "client write blocked " + time.Duration(d).String()})
-	}
-	line := append([]byte(nil), bytes.TrimSuffix(p, []byte("\n"))...)
-	j := fs.j
-	if j.journaled {
-		var hdr struct {
-			Index int `json:"index"`
-		}
-		if err := json.Unmarshal(line, &hdr); err != nil {
-			return 0, fmt.Errorf("fleet: backend record: %w", err)
-		}
-		if err := fs.s.cfg.Journal.AckShard(j.id, hdr.Index, line); err != nil {
-			return 0, err
-		}
-	}
-	if err := foldFleet(j, line); err != nil {
-		return 0, err
-	}
-	j.mu.Lock()
-	j.records++
-	if j.h != nil {
-		now := j.h.NowNanos()
-		j.hostBytes += uint64(len(p))
-		if j.hostFirst == 0 {
-			j.hostFirst = now
-		}
-		j.hostLast = now
-		fs.s.hostBytes.Add(uint64(len(p)))
-	}
-	if j.journaled {
-		j.archive = append(j.archive, line)
-	}
-	if len(j.subs) > 0 && j.records%uint64(fs.s.cfg.SnapshotEvery) == 0 {
-		fs.s.publishLocked(j, "snapshot", mustJSON(j.aggregatesLocked()))
-	}
-	j.mu.Unlock()
-	if fs.streamed {
-		fs.s.recordsStreamed.Add(1)
-	}
-	return len(p), nil
-}
-
-// foldFleet decodes one merged line into the job's aggregate under j.mu.
-func foldFleet(j *Job, line []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.campaignGrid != nil {
-		var rec campaign.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("fleet: backend record: %w", err)
-		}
-		j.camp.Add(rec)
-		return nil
-	}
-	var rec sweep.RunResult
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return fmt.Errorf("fleet: backend record: %w", err)
-	}
-	j.swp.Add(rec)
-	return nil
 }
 
 // Backends reports the coordinator's configured backend list (empty on a

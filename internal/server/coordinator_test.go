@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/faultpoint"
+	"repro/internal/journal"
 )
 
 // newFleet builds a coordinator over n real backend servers.
@@ -191,5 +192,76 @@ func TestFleetDispatchFaultpointRotates(t *testing.T) {
 	m := coord.metricsSnapshot()
 	if m.Coordinator.Retries != 1 || m.Coordinator.Dispatches != 2 {
 		t.Fatalf("retries=%d dispatches=%d, want 1/2", m.Coordinator.Retries, m.Coordinator.Dispatches)
+	}
+}
+
+// TestJournaledCoordinator pins the path of a coordinator with a journal:
+// a campaign merged over two backends streams the single-node bytes, a
+// second GET replays the archive byte-identically, the journal holds one
+// ack per grid point (the merged line itself) and a done term, and after
+// a restart Restore serves the same archive and aggregates.
+func TestJournaledCoordinator(t *testing.T) {
+	_, single := newTestServer(t, Config{Workers: 2})
+	sid := submit(t, single, campaignSpecJSON(t), "").ID
+	want := streamAll(t, single, sid)
+	var wantAgg json.RawMessage
+	getJSON(t, single.URL+"/api/v1/jobs/"+sid+"/aggregates", &wantAgg)
+
+	dir := t.TempDir()
+	jn, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, coordTS, _, _ := newFleet(t, 2, Config{Journal: jn})
+	st := submit(t, coordTS, campaignSpecJSON(t), "")
+	if got := streamAll(t, coordTS, st.ID); !bytes.Equal(got, want) {
+		t.Fatal("journaled coordinator stream differs from single-node run")
+	}
+	if again := streamAll(t, coordTS, st.ID); !bytes.Equal(again, want) {
+		t.Fatal("coordinator archive replay differs")
+	}
+	var gotAgg json.RawMessage
+	getJSON(t, coordTS.URL+"/api/v1/jobs/"+st.ID+"/aggregates", &gotAgg)
+	if !bytes.Equal(gotAgg, wantAgg) {
+		t.Fatalf("coordinator aggregates differ:\n got %s\nwant %s", gotAgg, wantAgg)
+	}
+	// accept + one ack per grid point + term: no point acked twice.
+	if n := jn.Appends(); n != uint64(st.GridSize)+2 {
+		t.Fatalf("journal appends = %d, want %d", n, st.GridSize+2)
+	}
+	jn.Close()
+
+	logs, err := journal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != 1 || logs[0].ID != st.ID || logs[0].State != StateDone {
+		t.Fatalf("journal logs = %+v, want one done job %s", logs, st.ID)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(want, []byte("\n")), []byte("\n"))
+	if len(logs[0].Acks) != len(lines) {
+		t.Fatalf("%d acks, want %d", len(logs[0].Acks), len(lines))
+	}
+	for i, ack := range logs[0].Acks {
+		if ack.Index != i || !bytes.Equal(ack.Record, lines[i]) {
+			t.Fatalf("ack %d: index %d, record is the merged line: %v", i, ack.Index, bytes.Equal(ack.Record, lines[i]))
+		}
+	}
+
+	jn2, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(jn2.Close)
+	life2, ts2 := newTestServer(t, Config{Workers: 2, Journal: jn2, Backends: coord.Backends()})
+	if resumed, err := life2.Restore(); err != nil || resumed != 0 {
+		t.Fatalf("Restore: resumed %d, err %v; want 0 (the job was done)", resumed, err)
+	}
+	if got := streamAll(t, ts2, st.ID); !bytes.Equal(got, want) {
+		t.Fatal("restored coordinator archive differs")
+	}
+	getJSON(t, ts2.URL+"/api/v1/jobs/"+st.ID+"/aggregates", &gotAgg)
+	if !bytes.Equal(gotAgg, wantAgg) {
+		t.Fatalf("restored coordinator aggregates differ:\n got %s\nwant %s", gotAgg, wantAgg)
 	}
 }

@@ -531,6 +531,19 @@ func TestTraceValidation(t *testing.T) {
 		t.Fatalf("trace on sweep: status %d, want 400", resp.StatusCode)
 	}
 
+	// trace=N on a coordinator is a 400: it runs no simulation, so it has
+	// no per-run traces to serve.
+	_, coordTS := newTestServer(t, Config{Workers: 2, Backends: []string{ts.URL}})
+	resp, err = http.Post(coordTS.URL+"/api/v1/jobs?trace=64", "application/json",
+		bytes.NewReader(campaignSpecJSON(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trace on a coordinator: status %d, want 400", resp.StatusCode)
+	}
+
 	// A bad limit is a 400.
 	resp, err = http.Post(ts.URL+"/api/v1/jobs?trace=zero", "application/json",
 		bytes.NewReader(campaignSpecJSON(t)))

@@ -1,16 +1,13 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"repro/internal/campaign"
 	"repro/internal/hostobs"
 	"repro/internal/journal"
 	"repro/internal/spec"
-	"repro/internal/sweep"
 )
 
 // Restore rebuilds the job table from the configured journal — the boot
@@ -85,44 +82,26 @@ func (s *Server) rebuild(lg journal.JobLog) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh, err := sweep.ParseShard(lg.Opts.Shard)
-	if err == nil {
-		err = sh.Validate()
-	}
+	j, err := s.newJob(sp, lg.Spec, lg.Opts)
 	if err != nil {
 		return nil, err
-	}
-	workers := lg.Opts.Workers
-	if workers < 1 {
-		workers = s.cfg.Workers
-	}
-	mode := lg.Opts.Mode
-	if mode == "" {
-		mode = "stream"
 	}
 	// traceLimit stays zero: trace buffers are in-memory only and do not
 	// survive a restart (the journal deliberately does not persist them).
-	j := &Job{id: lg.ID, spec: sp, shard: sh, workers: min(workers, s.cfg.Workers),
-		mode: mode, journaled: true, body: lg.Spec, h: s.cfg.Host, traceID: "t-" + lg.ID}
-	switch sp.Kind {
-	case spec.KindSweep:
-		j.sweepGrid, err = sp.Sweep.Grid()
-	case spec.KindCampaign:
-		j.campaignGrid, err = sp.Campaign.Grid()
-	}
-	if err != nil {
-		return nil, err
-	}
+	j.id, j.journaled, j.traceID = lg.ID, true, "t-"+lg.ID
 
 	if lg.State != "" {
 		// Terminal: fold the journaled records back into the aggregates and
-		// keep the emitted lines as the replayable archive.
+		// keep the emitted lines as the replayable archive. The job is not
+		// published yet, so folding needs no lock.
 		j.state = lg.State
 		j.errMsg = lg.ErrMsg
 		for _, ack := range lg.Acks {
-			if err := j.fold(ack.Record); err != nil {
+			rec, _, err := j.decode(ack.Record)
+			if err != nil {
 				return nil, err
 			}
+			j.foldLocked(record{rec: rec})
 			j.records++
 			j.archive = append(j.archive, ack.Record)
 		}
@@ -131,28 +110,9 @@ func (s *Server) rebuild(lg journal.JobLog) (*Job, error) {
 
 	// Interrupted: pending with every acked shard staged for verbatim
 	// re-emission. Aggregates rebuild as the resumed run re-emits.
-	j.state = StatePending
 	j.resume = make(map[int][]byte, len(lg.Acks))
 	for _, ack := range lg.Acks {
 		j.resume[ack.Index] = ack.Record
 	}
 	return j, nil
-}
-
-// fold decodes one journaled record line into the job's aggregate.
-func (j *Job) fold(line []byte) error {
-	if j.campaignGrid != nil {
-		var rec campaign.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("journaled record: %w", err)
-		}
-		j.camp.Add(rec)
-		return nil
-	}
-	var rec sweep.RunResult
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return fmt.Errorf("journaled record: %w", err)
-	}
-	j.swp.Add(rec)
-	return nil
 }

@@ -212,7 +212,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	defer cancel()
 	sink := &interruptAfter{lines: 3, cancel: cancel}
 	life1.BeginDrain()
-	runErr := life1.run(ctx, j, sink, nil, false)
+	runErr := life1.run(ctx, j, sink, nil)
 	if runErr == nil {
 		t.Fatal("interrupted run reported success")
 	}
@@ -351,4 +351,42 @@ func TestRestoreFreshIDsDoNotCollide(t *testing.T) {
 	if st2.ID == st.ID {
 		t.Fatalf("fresh job reused restored id %s", st.ID)
 	}
+}
+
+// TestArchiveReplayConcurrent: several clients re-streaming one done
+// journaled job at once each read the byte-identical stream. Archived
+// lines are shared by every replay, so a replay must never write into
+// them — the race detector (make race) pins that.
+func TestArchiveReplayConcurrent(t *testing.T) {
+	jn, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(jn.Close)
+	_, ts := newTestServer(t, Config{Workers: 2, Journal: jn})
+	st := submit(t, ts, campaignSpecJSON(t), "")
+	want := streamAll(t, ts, st.ID)
+
+	const clients, rounds = 4, 5
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				resp, err := http.Get(ts.URL + st.StreamURL)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+					t.Errorf("re-stream: status %d, err %v, byte-identical %v", resp.StatusCode, err, bytes.Equal(got, want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -5,6 +5,15 @@
 // credit-gated reorder pipeline as mpsocsim, so the JSONL bytes are
 // identical to a direct CLI run with the same spec, across worker counts.
 //
+// Every record leaves its job through one path, deliver. A job has two
+// record sources: the local worker pool (computed grid points and, after a
+// restart, the journaled lines of acked points) or, on a fleet
+// coordinator, sweep.Merge over the backend streams. Both hand each record
+// to deliver in grid order, which writes and flushes its line, then acks
+// it to the journal, folds it into the aggregates, archives it, accounts
+// its host bytes and publishes the /events snapshot — so a job behaves the
+// same whichever source fed it.
+//
 // Backpressure falls out of that structure rather than being bolted on: a
 // slow client blocks its ResponseWriter, which stalls emission, which
 // stops credits returning to the dispatcher, so at most 2x workers
@@ -448,7 +457,9 @@ func (j *Job) status() Status {
 // workers=N (capped at the server pool), shard=i/n (run one slice of the
 // grid, for fleet-split campaigns), mode=stream|aggregate (aggregate
 // starts the run immediately with a discarded stream — the
-// millions-of-runs shape where only /aggregates matters).
+// millions-of-runs shape where only /aggregates matters), trace=N (keep
+// per-run traces of a campaign; a coordinator, which runs no simulation,
+// rejects it).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
@@ -467,29 +478,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	q := r.URL.Query()
-	workers := s.cfg.Workers
+	opts := journal.SubmitOpts{Shard: q.Get("shard"), Mode: q.Get("mode")}
 	if v := q.Get("workers"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("workers=%q: want a positive integer", v))
 			return
 		}
-		workers = min(n, s.cfg.Workers)
+		opts.Workers = n
 	}
-	sh, err := sweep.ParseShard(q.Get("shard"))
-	if err == nil {
-		err = sh.Validate()
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	mode := q.Get("mode")
-	if mode == "" {
-		mode = "stream"
-	}
-	if mode != "stream" && mode != "aggregate" {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("mode=%q: want stream or aggregate", mode))
+	if m := opts.Mode; m != "" && m != "stream" && m != "aggregate" {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("mode=%q: want stream or aggregate", m))
 		return
 	}
 	traceLimit := 0
@@ -503,22 +502,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "trace=N applies to campaign jobs only (sweeps have no incident timeline)")
 			return
 		}
+		if len(s.cfg.Backends) > 0 {
+			httpError(w, http.StatusBadRequest,
+				"trace=N is not served by a coordinator (it runs no simulation; submit traced jobs to a backend)")
+			return
+		}
 		traceLimit = min(n, maxTraceLimit)
 	}
-
-	j := &Job{spec: sp, shard: sh, workers: workers, state: StatePending, traceLimit: traceLimit, mode: mode, body: body, h: s.cfg.Host}
-	// Grids build here so the spec's semantic reach (unknown scenario
-	// names and the like) is also a 400, not a stream-time failure.
-	switch sp.Kind {
-	case spec.KindSweep:
-		j.sweepGrid, err = sp.Sweep.Grid()
-	case spec.KindCampaign:
-		j.campaignGrid, err = sp.Campaign.Grid()
-	}
+	j, err := s.newJob(sp, body, opts)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	j.traceLimit = traceLimit
 
 	s.mu.Lock()
 	if len(s.order) >= s.cfg.MaxJobs {
@@ -543,7 +539,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// job. A journal that cannot commit the accept refuses the job — the
 	// client must never hold a job id the journal would forget.
 	if s.cfg.Journal != nil {
-		opts := journal.SubmitOpts{Workers: j.workers, Shard: j.shard.String(), Mode: mode}
+		opts := journal.SubmitOpts{Workers: j.workers, Shard: j.shard.String(), Mode: j.mode}
 		if err := s.cfg.Journal.Accept(j.id, body, opts); err != nil {
 			s.unregister(j.id)
 			httpError(w, http.StatusServiceUnavailable, "journal: "+err.Error())
@@ -554,12 +550,47 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	if h := s.cfg.Host; h != nil {
 		h.Info("job accepted", hostobs.Fields{Job: j.id, Trace: j.traceID,
-			Detail: fmt.Sprintf("kind=%s grid=%d shard=%s workers=%d mode=%s", sp.Kind, j.gridSize(), j.shard, j.workers, mode)})
+			Detail: fmt.Sprintf("kind=%s grid=%d shard=%s workers=%d mode=%s", sp.Kind, j.gridSize(), j.shard, j.workers, j.mode)})
 	}
-	if mode == "aggregate" {
+	if j.mode == "aggregate" {
 		s.startDetached(j)
 	}
 	writeJSON(w, http.StatusCreated, j.status())
+}
+
+// newJob builds a pending job from a parsed spec and its submit options:
+// the one constructor behind a submit and a journal rebuild. It caps the
+// worker count at the pool (zero takes the whole pool), defaults the mode
+// to stream and builds the grid, so the spec's semantic reach (unknown
+// scenario names and the like) is a submit-time error, not a stream-time
+// failure.
+func (s *Server) newJob(sp *spec.Spec, body []byte, opts journal.SubmitOpts) (*Job, error) {
+	sh, err := sweep.ParseShard(opts.Shard)
+	if err == nil {
+		err = sh.Validate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	workers := s.cfg.Workers
+	if opts.Workers > 0 {
+		workers = min(opts.Workers, workers)
+	}
+	mode := opts.Mode
+	if mode == "" {
+		mode = "stream"
+	}
+	j := &Job{spec: sp, shard: sh, workers: workers, state: StatePending, mode: mode, body: body, h: s.cfg.Host}
+	switch sp.Kind {
+	case spec.KindSweep:
+		j.sweepGrid, err = sp.Sweep.Grid()
+	case spec.KindCampaign:
+		j.campaignGrid, err = sp.Campaign.Grid()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return j, nil
 }
 
 // unregister removes a job that failed to become durable.
@@ -588,7 +619,7 @@ func (s *Server) startDetached(j *Job) {
 	s.detached.Add(1)
 	go func() {
 		defer s.detached.Done()
-		err := s.run(s.baseCtx, j, io.Discard, nil, false)
+		err := s.run(s.baseCtx, j, io.Discard, nil)
 		s.finish(j, s.baseCtx, err)
 	}()
 }
@@ -646,8 +677,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			j.mu.Unlock()
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
+			var buf []byte
 			for _, line := range archive {
-				if _, err := w.Write(append(line, '\n')); err != nil {
+				// Copy before adding the newline: an archived line may have
+				// spare capacity, shared by every client re-streaming the job.
+				buf = append(append(buf[:0], line...), '\n')
+				if _, err := w.Write(buf); err != nil {
 					return
 				}
 				s.recordsStreamed.Add(1)
@@ -671,172 +706,205 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// shard stream before merging, and an unflushed header would make it
 	// wait for the first record of each backend in turn.
 	rc.Flush()
-	err := s.run(r.Context(), j, w, rc, true)
+	err := s.run(r.Context(), j, w, rc)
 	s.finish(j, r.Context(), err)
 }
 
-// run executes the job's grid through the sweep pipeline — the exact
-// path mpsocsim takes, which is what the byte-identity gate checks. Each
-// run wrapper holds a global pool slot, so total simulation concurrency
-// respects Config.Workers no matter how many jobs stream at once.
-func (s *Server) run(ctx context.Context, j *Job, w io.Writer, rc *http.ResponseController, streamed bool) error {
+// clientStallNanos is the client-stall warning threshold: a record write
+// and flush blocking longer than this gets a structured warn, because a
+// stalled client stalls its job's whole pipeline — on a coordinator, every
+// backend behind it.
+const clientStallNanos = int64(100 * time.Millisecond)
+
+// record is one grid point on its way to the client. The local worker
+// pool yields a computed record (rec, with its tracer when traced) or,
+// after a restart, the line journaled for that point; a coordinator's
+// merge yields each backend line. deliver takes all of them.
+type record struct {
+	index int
+	rec   any // campaign.Record or sweep.RunResult; nil for a given line
+	tr    *obs.Tracer
+	line  []byte // a given line, without its newline
+}
+
+// run executes the job. Its records come from the local worker pool —
+// the sweep pipeline, the exact path mpsocsim takes, which is what the
+// byte-identity gate checks — or, on a coordinator, from the merged
+// backend streams; either way they reach deliver in grid order. Each
+// computed point holds a global pool slot, so total simulation
+// concurrency respects Config.Workers no matter how many jobs stream at
+// once.
+func (s *Server) run(ctx context.Context, j *Job, w io.Writer, rc *http.ResponseController) error {
+	deliver := func(r record) error { return s.deliver(j, w, rc, r) }
 	if len(s.cfg.Backends) > 0 {
-		return s.runFleet(ctx, j, w, rc, streamed)
+		return s.runFleet(ctx, j, deliver)
 	}
-	acquire := func() {
-		s.pool <- struct{}{}
-		s.busy.Add(1)
-	}
-	release := func() {
-		s.busy.Add(-1)
-		<-s.pool
-	}
-	account := func(line []byte, add func()) error {
-		if rc != nil {
-			if err := rc.Flush(); err != nil {
-				return err
+	return sweep.StreamContext(ctx, j.gridSize(), j.shard, j.weights(), j.workers,
+		func(i int) record {
+			if line, ok := j.resume[i]; ok {
+				s.recordsResumed.Add(1)
+				return record{line: line}
 			}
-		}
-		j.mu.Lock()
-		add()
-		j.records++
-		if j.h != nil {
-			now := j.h.NowNanos()
-			j.hostBytes += uint64(len(line) + 1)
-			if j.hostFirst == 0 {
-				j.hostFirst = now
-			}
-			j.hostLast = now
-			s.hostBytes.Add(uint64(len(line) + 1))
-		}
-		// Journaled jobs archive every emitted line (in emission order) so a
-		// terminal job's stream can be replayed byte-identically — by a
-		// reconnecting client or the chaos gate.
-		if j.journaled {
-			j.archive = append(j.archive, line)
-		}
-		// Partial aggregate snapshots fan out to /events subscribers every
-		// SnapshotEvery records — a record count, not a timer, so cadence
-		// is deterministic and the service stays wall-clock free.
-		if len(j.subs) > 0 && j.records%uint64(s.cfg.SnapshotEvery) == 0 {
-			s.publishLocked(j, "snapshot", mustJSON(j.aggregatesLocked()))
-		}
-		j.mu.Unlock()
-		if streamed {
-			s.recordsStreamed.Add(1)
-		}
-		return nil
-	}
-	// emit writes one record line and, for a freshly computed shard of a
-	// journaled job, commits its ack. Resumed shards (raw != nil) were acked
-	// in a previous life; re-acking would be a harmless duplicate (replay is
-	// idempotent) but is skipped to keep the log minimal.
-	emit := func(index int, raw []byte, fresh bool) error {
-		if _, err := w.Write(append(raw, '\n')); err != nil {
-			return err
-		}
-		if fresh && j.journaled {
-			if err := s.cfg.Journal.AckShard(j.id, index, raw); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+			s.pool <- struct{}{}
+			s.busy.Add(1)
+			defer func() {
+				s.busy.Add(-1)
+				<-s.pool
+			}()
+			return s.compute(ctx, j, i)
+		}, deliver)
+}
+
+// compute runs grid point i under the shard retry policy. A poisoned
+// shard yields an error record that holds its grid slot, so the stream
+// stays gap-free and the job survives.
+func (s *Server) compute(ctx context.Context, j *Job, i int) record {
+	defer s.recordsComputed.Add(1)
 	if j.campaignGrid != nil {
 		// Campaign runs always flow through the traced runner; an untraced
 		// job passes nil tracers, which cost nothing (campaign.RunOneTrace
 		// attaches no subscriptions for them).
-		type tracedRec struct {
-			rec campaign.Record
-			tr  *obs.Tracer
-			raw []byte // resumed shard: the journaled line, emitted verbatim
+		tr := obs.New(j.traceLimit)
+		var rec campaign.Record
+		if err := s.executeShard(ctx, j, i, func() {
+			rec = campaign.RunOneTrace(j.campaignGrid[i], tr)
+		}); err != nil {
+			rec = campaign.Record{Name: j.campaignGrid[i].Name(), Err: "shard poisoned: " + err.Error()}
+			tr = nil
 		}
-		return sweep.StreamContext(ctx, len(j.campaignGrid), j.shard,
-			campaign.Weights(j.campaignGrid), j.workers,
-			func(i int) tracedRec {
-				if line, ok := j.resume[i]; ok {
-					s.recordsResumed.Add(1)
-					return tracedRec{raw: line}
-				}
-				acquire()
-				defer release()
-				tr := obs.New(j.traceLimit)
-				var rec campaign.Record
-				if err := s.executeShard(ctx, j, i, func() {
-					rec = campaign.RunOneTrace(j.campaignGrid[i], tr)
-				}); err != nil {
-					// Poisoned: an error record holds the shard's grid slot so
-					// the stream stays gap-free and the job survives.
-					rec = campaign.Record{Name: j.campaignGrid[i].Name(), Err: "shard poisoned: " + err.Error()}
-					tr = nil
-				}
-				rec.Index = i
-				s.recordsComputed.Add(1)
-				return tracedRec{rec: rec, tr: tr}
-			},
-			func(t tracedRec) error {
-				line := t.raw
-				if line == nil {
-					var err error
-					if line, err = json.Marshal(t.rec); err != nil {
-						return err
-					}
-				} else if err := json.Unmarshal(line, &t.rec); err != nil {
-					return fmt.Errorf("resumed record: %w", err)
-				}
-				if err := emit(t.rec.Index, line, t.raw == nil); err != nil {
-					return err
-				}
-				if t.tr != nil {
-					s.traceEmitted.Add(t.tr.Emitted())
-					s.traceDropped.Add(t.tr.Dropped())
-				}
-				return account(line, func() {
-					j.camp.Add(t.rec)
-					if t.tr != nil {
-						j.traces = append(j.traces, runTrace{pid: t.rec.Index + 1, name: t.rec.Name, tr: t.tr})
-					}
-				})
-			})
+		rec.Index = i
+		return record{index: i, rec: rec, tr: tr}
 	}
-	type sweepOut struct {
-		rec sweep.RunResult
-		raw []byte // resumed shard: the journaled line, emitted verbatim
+	var rec sweep.RunResult
+	if err := s.executeShard(ctx, j, i, func() {
+		rec = sweep.RunOne(j.sweepGrid[i])
+	}); err != nil {
+		rec = sweep.RunResult{Name: j.sweepGrid[i].Name(), Err: "shard poisoned: " + err.Error()}
 	}
-	return sweep.StreamContext(ctx, len(j.sweepGrid), j.shard,
-		sweep.Weights(j.sweepGrid), j.workers,
-		func(i int) sweepOut {
-			if line, ok := j.resume[i]; ok {
-				s.recordsResumed.Add(1)
-				return sweepOut{raw: line}
-			}
-			acquire()
-			defer release()
-			var rec sweep.RunResult
-			if err := s.executeShard(ctx, j, i, func() {
-				rec = sweep.RunOne(j.sweepGrid[i])
-			}); err != nil {
-				rec = sweep.RunResult{Name: j.sweepGrid[i].Name(), Err: "shard poisoned: " + err.Error()}
-			}
-			rec.Index = i
-			s.recordsComputed.Add(1)
-			return sweepOut{rec: rec}
-		},
-		func(t sweepOut) error {
-			line := t.raw
-			if line == nil {
-				var err error
-				if line, err = json.Marshal(t.rec); err != nil {
-					return err
-				}
-			} else if err := json.Unmarshal(line, &t.rec); err != nil {
-				return fmt.Errorf("resumed record: %w", err)
-			}
-			if err := emit(t.rec.Index, line, t.raw == nil); err != nil {
-				return err
-			}
-			return account(line, func() { j.swp.Add(t.rec) })
-		})
+	rec.Index = i
+	return record{index: i, rec: rec}
+}
+
+// deliver is the one path a record takes to the client, whatever its
+// source. A computed record is marshaled; a given line is kept as is.
+// The line is written and flushed first, so nothing after it delays the
+// client. Then a given line is decoded, once; the line is acked to the
+// journal unless it was resumed; and the record is folded into the
+// aggregates, archived, accounted as host bytes, published on the
+// snapshot cadence and counted as streamed.
+func (s *Server) deliver(j *Job, w io.Writer, rc *http.ResponseController, r record) error {
+	var out []byte
+	if r.rec != nil {
+		data, err := json.Marshal(r.rec)
+		if err != nil {
+			return err
+		}
+		out = append(data, '\n')
+	} else {
+		// A copy: a merged line lives in the merge's reused buffer.
+		out = append(append(make([]byte, 0, len(r.line)+1), r.line...), '\n')
+	}
+	line := out[:len(out)-1]
+	h := j.h
+	start := h.NowNanos()
+	if _, err := w.Write(out); err != nil {
+		return err
+	}
+	if rc != nil {
+		if err := rc.Flush(); err != nil {
+			return err
+		}
+	}
+	if d := h.NowNanos() - start; d > clientStallNanos {
+		h.Warn("client stall", hostobs.Fields{Job: j.id, Trace: j.traceID,
+			Detail: "record write blocked " + time.Duration(d).String()})
+	}
+	if r.rec == nil {
+		var err error
+		if r.rec, r.index, err = j.decode(line); err != nil {
+			return err
+		}
+	}
+	// A resumed index was acked in a previous life; re-acking would be a
+	// harmless duplicate (replay is idempotent) but is skipped to keep the
+	// log minimal.
+	if _, resumed := j.resume[r.index]; j.journaled && !resumed {
+		if err := s.cfg.Journal.AckShard(j.id, r.index, line); err != nil {
+			return err
+		}
+	}
+	if r.tr != nil {
+		s.traceEmitted.Add(r.tr.Emitted())
+		s.traceDropped.Add(r.tr.Dropped())
+	}
+	j.mu.Lock()
+	j.foldLocked(r)
+	j.records++
+	// Journaled jobs archive every emitted line (in emission order) so a
+	// terminal job's stream can be replayed byte-identically — by a
+	// reconnecting client or the chaos gate.
+	if j.journaled {
+		j.archive = append(j.archive, line)
+	}
+	if h != nil {
+		now := h.NowNanos()
+		j.hostBytes += uint64(len(out))
+		if j.hostFirst == 0 {
+			j.hostFirst = now
+		}
+		j.hostLast = now
+		s.hostBytes.Add(uint64(len(out)))
+	}
+	// Partial aggregate snapshots fan out to /events subscribers every
+	// SnapshotEvery records — a record count, not a timer, so cadence
+	// is deterministic and the service stays wall-clock free.
+	if len(j.subs) > 0 && j.records%uint64(s.cfg.SnapshotEvery) == 0 {
+		s.publishLocked(j, "snapshot", mustJSON(j.aggregatesLocked()))
+	}
+	j.mu.Unlock()
+	if w != io.Discard { // a detached job streams to no one
+		s.recordsStreamed.Add(1)
+	}
+	return nil
+}
+
+// weights is the grid's per-point cost estimate, which balances shards.
+func (j *Job) weights() []float64 {
+	if j.campaignGrid != nil {
+		return campaign.Weights(j.campaignGrid)
+	}
+	return sweep.Weights(j.sweepGrid)
+}
+
+// decode parses a record line into the job's record type.
+func (j *Job) decode(line []byte) (rec any, index int, err error) {
+	if j.campaignGrid != nil {
+		var r campaign.Record
+		err = json.Unmarshal(line, &r)
+		rec, index = r, r.Index
+	} else {
+		var r sweep.RunResult
+		err = json.Unmarshal(line, &r)
+		rec, index = r, r.Index
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("decoding record: %w", err)
+	}
+	return rec, index, nil
+}
+
+// foldLocked adds a record to the job's aggregates and, when it carries a
+// tracer, its run to the job's trace; j.mu must be held.
+func (j *Job) foldLocked(r record) {
+	switch rec := r.rec.(type) {
+	case campaign.Record:
+		j.camp.Add(rec)
+		if r.tr != nil {
+			j.traces = append(j.traces, runTrace{pid: rec.Index + 1, name: rec.Name, tr: r.tr})
+		}
+	case sweep.RunResult:
+		j.swp.Add(rec)
+	}
 }
 
 // finish records the job's terminal state. A canceled context means the

@@ -329,7 +329,7 @@ func TestSlowConsumerBackpressure(t *testing.T) {
 	j := &Job{id: "job-test", spec: sp, workers: workers, state: StateRunning, sweepGrid: grid}
 
 	done := make(chan error, 1)
-	go func() { done <- s.run(context.Background(), j, gw, nil, true) }()
+	go func() { done <- s.run(context.Background(), j, gw, nil) }()
 
 	// Wait for the pipeline to stall against the gate: computed stops
 	// growing at most limit + window beyond the emitted records.
