@@ -37,6 +37,20 @@ func runAttack(o *options, w io.Writer) error {
 		}
 		return mergeShards(o.merge, w)
 	}
+	var write func(io.Writer, []campaign.Config, sweep.Shard, int) error
+	switch o.format {
+	case "jsonl":
+		write = campaign.WriteJSONL
+	case "csv":
+		write = campaign.WriteCSV
+	case "table":
+		write = writeAttackTables
+	default:
+		return fmt.Errorf("unknown attack format %q (want jsonl, csv or table)", o.format)
+	}
+	if o.traceFile != "" && o.format != "jsonl" {
+		return fmt.Errorf("-trace requires -format jsonl in attack mode (got %s)", o.format)
+	}
 	grid, err := buildCampaignGrid(o)
 	if err != nil {
 		return err
@@ -47,21 +61,9 @@ func runAttack(o *options, w io.Writer) error {
 	}
 	fmt.Fprintf(os.Stderr, "attack: shard %s of %d campaign runs (%s)\n", sh, len(grid), o.format)
 	if o.traceFile != "" {
-		if o.format != "jsonl" {
-			return fmt.Errorf("-trace requires -format jsonl in attack mode (got %s)", o.format)
-		}
 		return runAttackTraced(o, w, grid, sh)
 	}
-	switch o.format {
-	case "jsonl":
-		return campaign.WriteJSONL(w, grid, sh, o.workers)
-	case "csv":
-		return campaign.WriteCSV(w, grid, sh, o.workers)
-	case "table":
-		return writeAttackTables(w, grid, sh, o.workers)
-	default:
-		return fmt.Errorf("unknown attack format %q (want jsonl, csv or table)", o.format)
-	}
+	return write(w, grid, sh, o.workers)
 }
 
 // runAttackTraced streams the campaign's JSONL to w while appending every

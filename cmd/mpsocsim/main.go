@@ -340,20 +340,48 @@ func buildGrid(o *options) ([]sweep.Config, error) {
 }
 
 // withOutput resolves the -sweep-out destination (stdout when empty) and
-// runs the given mode into it.
+// runs the given mode into it. The file is opened up front, so a path that
+// cannot be created fails before any work, but it is emptied only on the
+// first write: a run rejected before its first record (a bad format, shard
+// or grid axis) leaves an existing file untouched, and a run that succeeds
+// without writing anything still leaves it empty.
 func withOutput(o *options, run func(*options, io.Writer) error) error {
 	if o.sweepOut == "" {
 		return run(o, os.Stdout)
 	}
-	f, err := os.Create(o.sweepOut)
+	f, err := os.OpenFile(o.sweepOut, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := run(o, f); err != nil {
-		f.Close()
-		return err
+	out := &truncatingFile{f: f}
+	if err = run(o, out); err == nil {
+		_, err = out.Write(nil)
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// truncatingFile is a writer that empties its file on the first Write. A
+// device or pipe (-sweep-out /dev/stdout) has nothing to empty.
+type truncatingFile struct {
+	f       *os.File
+	emptied bool
+}
+
+func (t *truncatingFile) Write(p []byte) (int, error) {
+	if !t.emptied {
+		fi, err := t.f.Stat()
+		if err == nil && fi.Mode().IsRegular() {
+			err = t.f.Truncate(0)
+		}
+		if err != nil {
+			return 0, err
+		}
+		t.emptied = true
+	}
+	return t.f.Write(p)
 }
 
 // runSweep executes the grid (or merges shard files) and streams the report
@@ -365,6 +393,17 @@ func runSweep(o *options, w io.Writer) error {
 		}
 		return mergeShards(o.merge, w)
 	}
+	var write func(io.Writer, []sweep.Config, sweep.Shard, int) error
+	switch o.format {
+	case "jsonl":
+		write = sweep.WriteJSONL
+	case "csv":
+		write = sweep.WriteCSV
+	case "json":
+		write = writeSweepReport
+	default:
+		return fmt.Errorf("unknown sweep format %q (want jsonl, csv or json)", o.format)
+	}
 	grid, err := buildGrid(o)
 	if err != nil {
 		return err
@@ -374,33 +413,28 @@ func runSweep(o *options, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sweep: shard %s of %d configurations (%s)\n", sh, len(grid), o.format)
-	switch o.format {
-	case "jsonl":
-		return sweep.WriteJSONL(w, grid, sh, o.workers)
-	case "csv":
-		return sweep.WriteCSV(w, grid, sh, o.workers)
-	case "json":
-		// Legacy buffered report; sharding applies all the same, and
-		// GridSize counts this shard's points (under the cost-aware
-		// slicing Each uses) so len(results) == grid_size holds for
-		// sharded reports too.
-		var rep sweep.Report
-		rep.GridSize = len(sh.Slice(len(grid), sweep.Weights(grid)))
-		if err := sweep.Each(grid, sh, o.workers, func(r sweep.RunResult) error {
-			rep.Results = append(rep.Results, r)
-			return nil
-		}); err != nil {
-			return err
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(append(data, '\n'))
+	return write(w, grid, sh, o.workers)
+}
+
+// writeSweepReport writes the legacy buffered report; sharding applies all
+// the same, and GridSize counts this shard's points (under the cost-aware
+// slicing Each uses) so len(results) == grid_size holds for sharded
+// reports too.
+func writeSweepReport(w io.Writer, grid []sweep.Config, sh sweep.Shard, workers int) error {
+	var rep sweep.Report
+	rep.GridSize = len(sh.Slice(len(grid), sweep.Weights(grid)))
+	if err := sweep.Each(grid, sh, workers, func(r sweep.RunResult) error {
+		rep.Results = append(rep.Results, r)
+		return nil
+	}); err != nil {
 		return err
-	default:
-		return fmt.Errorf("unknown sweep format %q (want jsonl, csv or json)", o.format)
 	}
+	data, err := rep.JSON()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
 }
 
 // mergeShards recombines shard JSONL files into the unsharded stream.

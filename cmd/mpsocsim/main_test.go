@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -468,5 +471,105 @@ func TestRunModelcheckSmoke(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "invariants (a)-(d): PASS") {
 		t.Fatalf("unexpected report: %s", a.String())
+	}
+}
+
+// stderrOf runs fn with os.Stderr redirected to a file and returns what fn
+// wrote there.
+func stderrOf(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestRejectedRunLeavesSweepOutUntouched: a run rejected before its first
+// record must leave an existing -sweep-out file as it was (the output is
+// emptied on the first write), and a bad format is rejected before the
+// run banner. A path that cannot be created fails before the banner too,
+// and a run that succeeds without a record still empties the file.
+func TestRejectedRunLeavesSweepOutUntouched(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.jsonl")
+	const previous = "{\"previous\":true}\n"
+	for _, tc := range []struct {
+		name string
+		args []string
+		mode func(*options, io.Writer) error
+	}{
+		{"attack format", attackArgs("-format", "yaml"), runAttack},
+		{"sweep format", sweepArgs("-format", "yaml"), runSweep},
+		{"sweep shard", sweepArgs("-shard", "3/2"), runSweep},
+		{"attack scenario", attackArgs("-attack-scenarios", "nosuch"), runAttack},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			o, err := parseFlags(append(tc.args, "-sweep-out", out))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stderr := stderrOf(t, func() { err = withOutput(o, tc.mode) })
+			if err == nil {
+				t.Fatal("run accepted")
+			}
+			if got, _ := os.ReadFile(out); string(got) != previous {
+				t.Fatalf("rejected run left %q in -sweep-out, want it untouched", got)
+			}
+			if strings.Contains(stderr, "shard") {
+				t.Fatalf("rejected run printed its banner: %q", stderr)
+			}
+		})
+	}
+	// A missing directory fails before any run: the json report and the
+	// attack table compute their whole grid before the first write.
+	missing := filepath.Join(t.TempDir(), "nosuch", "out")
+	for _, tc := range []struct {
+		name string
+		args []string
+		mode func(*options, io.Writer) error
+	}{
+		{"sweep json", sweepArgs("-format", "json"), runSweep},
+		{"attack table", attackArgs("-format", "table"), runAttack},
+	} {
+		t.Run("missing dir "+tc.name, func(t *testing.T) {
+			o, err := parseFlags(append(tc.args, "-sweep-out", missing))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stderr := stderrOf(t, func() { err = withOutput(o, tc.mode) })
+			if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("run into a missing directory: err = %v, want not-exist", err)
+			}
+			if strings.Contains(stderr, "shard") {
+				t.Fatalf("run into a missing directory started: %q", stderr)
+			}
+		})
+	}
+	// The test grid's cost-aware slicing leaves shard 7/8 empty.
+	if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseFlags(sweepArgs("-shard", "7/8", "-sweep-out", out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderrOf(t, func() { err = withOutput(o, runSweep) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(out); len(got) != 0 {
+		t.Fatalf("successful empty run left %q in -sweep-out, want an empty file", got)
 	}
 }

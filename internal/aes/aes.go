@@ -133,21 +133,29 @@ type Schedule struct {
 	rk [nrk]uint32 // round keys, big-endian words as in FIPS-197
 }
 
-// Expand fills the schedule from a 16-byte key.
+// rcon holds the round constants of the key schedule, x^(i-1) in GF(2^8)
+// in the high byte of a word.
+var rcon = [rounds]uint32{
+	0x01 << 24, 0x02 << 24, 0x04 << 24, 0x08 << 24, 0x10 << 24,
+	0x20 << 24, 0x40 << 24, 0x80 << 24, 0x1b << 24, 0x36 << 24,
+}
+
+// Expand fills the schedule from a 16-byte key. It runs the 10 rounds of
+// the FIPS-197 expansion over four running words: the Integrity Core
+// re-keys on every Davies–Meyer step, so this loop is on its hot path.
 func (s *Schedule) Expand(key *[16]byte) {
-	rk := &s.rk
-	for i := 0; i < 4; i++ {
-		rk[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 |
-			uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
-	}
-	rcon := uint32(1) << 24
-	for i := 4; i < nrk; i++ {
-		t := rk[i-1]
-		if i%4 == 0 {
-			t = subWord(rotWord(t)) ^ rcon
-			rcon = uint32(xtime(byte(rcon>>24))) << 24
-		}
-		rk[i] = rk[i-4] ^ t
+	w0 := uint32(key[0])<<24 | uint32(key[1])<<16 | uint32(key[2])<<8 | uint32(key[3])
+	w1 := uint32(key[4])<<24 | uint32(key[5])<<16 | uint32(key[6])<<8 | uint32(key[7])
+	w2 := uint32(key[8])<<24 | uint32(key[9])<<16 | uint32(key[10])<<8 | uint32(key[11])
+	w3 := uint32(key[12])<<24 | uint32(key[13])<<16 | uint32(key[14])<<8 | uint32(key[15])
+	s.rk[0], s.rk[1], s.rk[2], s.rk[3] = w0, w1, w2, w3
+	for r, c := range rcon {
+		w0 ^= subWord(rotWord(w3)) ^ c
+		w1 ^= w0
+		w2 ^= w1
+		w3 ^= w2
+		rk := (*[4]uint32)(s.rk[4*r+4:])
+		rk[0], rk[1], rk[2], rk[3] = w0, w1, w2, w3
 	}
 }
 
@@ -321,7 +329,9 @@ type Timing struct {
 	Interval uint64
 }
 
-// DefaultTiming is the Table II calibration for the CC (DESIGN.md §5).
+// DefaultTiming is the Table II calibration for the CC: the paper's
+// 11-cycle latency, and an interval of 28 cycles for its ≈450 Mb/s at
+// 100 MHz.
 var DefaultTiming = Timing{Latency: 11, Interval: 28}
 
 // BlockCycles returns the cycles to process n consecutive blocks:

@@ -14,8 +14,8 @@
 //
 // Note that Table I's printed percentages are inconsistent with its own
 // absolute numbers except for the BRAM column (63/53 = +18.87%); this
-// model reproduces the absolute numbers and recomputes percentages (see
-// EXPERIMENTS.md).
+// model reproduces the absolute numbers and recomputes the percentages
+// from them (the overhead row of RenderTable1).
 package area
 
 import "fmt"

@@ -8,8 +8,7 @@ import (
 )
 
 // TestCampaignDeterministic: the entire attack campaign is bit-identical
-// across runs — the property every reported number in EXPERIMENTS.md
-// rests on.
+// across runs — the property every reported attack number rests on.
 func TestCampaignDeterministic(t *testing.T) {
 	run := func() []attack.Outcome { return attack.All(soc.Distributed) }
 	a, b := run(), run()

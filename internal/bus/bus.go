@@ -26,8 +26,8 @@ type Config struct {
 	// Arbitration policy; RoundRobin by default.
 	Arbitration Arbitration
 	// ArbCycles and AddrCycles are the per-transaction protocol overhead
-	// (one cycle each by default, matching the PLB-style model in
-	// DESIGN.md §5).
+	// (one cycle each by default: a PLB-style shared bus spends one cycle
+	// on arbitration and one on the address phase).
 	ArbCycles  uint64
 	AddrCycles uint64
 	// DecodeErrCycles is the occupancy of an address-decode miss.

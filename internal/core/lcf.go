@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"repro/internal/aes"
 	"repro/internal/bus"
@@ -195,21 +197,102 @@ func (f *CipherFirewall) scratch(nBytes int) ([]byte, []uint32) {
 // zone's current contents (assumed plaintext, e.g. a loaded program image)
 // is encrypted in place, then the hash tree is built over the integrity
 // zone. Call once at boot, after loaders have filled external memory.
+//
+// Enciphering a zone is a pure function of (zone base, key, plaintext),
+// and the platforms a process builds seal the same images, so the CC pass
+// is memoised per process (sealMemo) and the tree build likewise
+// (hashtree.Tree.Build). A hit copies the remembered ciphertext into the
+// store; a preloaded image misses and is computed. Either way each zone is
+// written with one Poke, so Seal advances the store's mutation generation
+// by one per CM zone plus one for the node array. Nothing reads an
+// external store's generation: only a core compares its own local
+// store's.
 func (f *CipherFirewall) Seal() {
 	for _, p := range f.cm.Policies() {
-		if !p.CM {
-			continue
-		}
-		c := f.cipherFor(p.Key)
-		for a := p.Zone.Base; a < p.Zone.Base+p.Zone.Size; a += CipherBlock {
-			blk := f.store.Peek(a, CipherBlock)
-			f.encryptBlock(c, a, blk)
-			f.store.Poke(a, blk)
+		if p.CM {
+			f.sealZone(p)
 		}
 	}
 	if f.tree != nil {
 		f.tree.Build()
 	}
+}
+
+// sealZone enciphers one CM zone in place, from the memo when an earlier
+// Seal in this process enciphered the same plaintext at the same base
+// under the same key.
+func (f *CipherFirewall) sealZone(p Policy) {
+	plain := f.store.View(p.Zone.Base, int(p.Zone.Size))
+	if sealMemo.load(f.store, p.Zone.Base, p.Key, plain) {
+		return
+	}
+	z := &sealedZone{base: p.Zone.Base, key: p.Key, plain: bytes.Clone(plain), cipher: bytes.Clone(plain)}
+	cipherRange(f.cipherFor(p.Key), z.base, z.cipher, false)
+	f.store.Poke(z.base, z.cipher)
+	sealMemo.add(z)
+}
+
+// sealMemoSize bounds the seal memo. A platform has a handful of CM zones
+// and a process normally builds one kind of platform, so a few entries
+// cover it; FIFO eviction keeps a stream of one-off images from growing
+// it.
+const sealMemoSize = 8
+
+// sealedZone is one remembered CC pass of Seal. Its buffers are private
+// copies, read only under sealMemo's lock and never handed out, so no
+// platform's memory aliases them.
+type sealedZone struct {
+	base          uint32
+	key           [16]byte
+	plain, cipher []byte
+}
+
+// sealMemo holds the most recent distinct CC passes, oldest first, for the
+// whole process; the mutex serialises the concurrent platform builds of a
+// sweep's workers. Like a sync.Pool it is invisible to results: a hit
+// yields exactly the bytes the computation would.
+var sealMemo zoneMemo
+
+type zoneMemo struct {
+	mu      sync.Mutex
+	entries []*sealedZone
+}
+
+// find returns the entry whose complete input equals (base, key, plain),
+// compared byte for byte. The caller holds m.mu.
+func (m *zoneMemo) find(base uint32, key [16]byte, plain []byte) *sealedZone {
+	for _, z := range m.entries {
+		if z.base == base && z.key == key && bytes.Equal(z.plain, plain) {
+			return z
+		}
+	}
+	return nil
+}
+
+// load copies a remembered ciphertext for (base, key, plain) into st and
+// reports whether there was one.
+func (m *zoneMemo) load(st *mem.Store, base uint32, key [16]byte, plain []byte) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	z := m.find(base, key, plain)
+	if z != nil {
+		st.Poke(base, z.cipher)
+	}
+	return z != nil
+}
+
+// add remembers z unless a concurrent Seal got there first, evicting the
+// oldest entry beyond sealMemoSize.
+func (m *zoneMemo) add(z *sealedZone) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.find(z.base, z.key, z.plain) != nil {
+		return
+	}
+	if len(m.entries) == sealMemoSize {
+		m.entries = append(m.entries[:0], m.entries[1:]...)
+	}
+	m.entries = append(m.entries, z)
 }
 
 // RotateKey re-encrypts the confidentiality zone of the policy identified
@@ -236,14 +319,10 @@ func (f *CipherFirewall) RotateKey(spi uint32, newKey [16]byte) error {
 	if target.Key == newKey {
 		return fmt.Errorf("core: SPI %d rotation to the identical key refused", spi)
 	}
-	oldC := f.cipherFor(target.Key)
-	newC := f.cipherFor(newKey)
-	for a := target.Zone.Base; a < target.Zone.Base+target.Zone.Size; a += CipherBlock {
-		blk := f.store.Peek(a, CipherBlock)
-		f.decryptBlock(oldC, a, blk)
-		f.encryptBlock(newC, a, blk)
-		f.store.Poke(a, blk)
-	}
+	zone := f.store.Peek(target.Zone.Base, int(target.Zone.Size))
+	cipherRange(f.cipherFor(target.Key), target.Zone.Base, zone, true)
+	cipherRange(f.cipherFor(newKey), target.Zone.Base, zone, false)
+	f.store.Poke(target.Zone.Base, zone)
 	f.cm.SetKey(spi, newKey)
 	if f.tree != nil {
 		f.tree.Build()
@@ -262,7 +341,7 @@ func (f *CipherFirewall) PeekPlaintext(addr uint32, n int) []byte {
 		blkBase := a &^ (CipherBlock - 1)
 		blk := f.store.Peek(blkBase, CipherBlock)
 		if v == VNone && p.CM {
-			f.decryptBlock(f.cipherFor(p.Key), blkBase, blk)
+			cipherRange(f.cipherFor(p.Key), blkBase, blk, true)
 		}
 		for off := int(a - blkBase); off < CipherBlock && len(out) < n; off++ {
 			out = append(out, blk[off])
@@ -300,17 +379,6 @@ func cipherRange(c *aes.Cipher, lo uint32, buf []byte, dec bool) {
 		}
 		addr += CipherBlock
 	}
-}
-
-// encryptBlock enciphers one block in place, bound to addr (Seal,
-// RotateKey and PeekPlaintext use the single-block form).
-func (f *CipherFirewall) encryptBlock(c *aes.Cipher, addr uint32, blk []byte) {
-	cipherRange(c, addr, blk[:CipherBlock], false)
-}
-
-// decryptBlock inverts encryptBlock.
-func (f *CipherFirewall) decryptBlock(c *aes.Cipher, addr uint32, blk []byte) {
-	cipherRange(c, addr, blk[:CipherBlock], true)
 }
 
 // Access implements bus.Slave: the full LCF pipeline.

@@ -130,8 +130,12 @@ type Core struct {
 	busNext uint32
 
 	// icache caches decoded instructions per local word (entries with
-	// Decoded == false are misses). The core invalidates precisely on its
-	// own local stores; any other mutation of local memory (program
+	// Decoded == false are misses). It covers only the words up to the
+	// highest one fetched so far, growing on fetch (at most LocalSize/4
+	// entries): kernels are tens of instructions in a 64 KiB memory, so a
+	// full-size cache would be mostly never-touched bytes to allocate and
+	// to clear on every program load. The core invalidates precisely on
+	// its own local stores; any other mutation of local memory (program
 	// loads, test pokes, attack injection) is caught by comparing the
 	// store's generation at fetch, so self-modifying and externally
 	// modified code stay architecturally correct.
@@ -160,7 +164,6 @@ func New(eng *sim.Engine, cfg Config, conn bus.Conn) *Core {
 	}
 	c.regs[isa.RegSP] = cfg.LocalBase + cfg.LocalSize - 16 // default stack top
 	c.busDone = c.onBusDone
-	c.icache = make([]isa.Instr, cfg.LocalSize/4)
 	eng.AddTicker(c)
 	c.syncAwake()
 	return c
@@ -310,7 +313,11 @@ func (c *Core) Tick(now uint64) {
 		clear(c.icache)
 		c.icacheGen = g
 	}
-	idx := (c.pc - c.cfg.LocalBase) >> 2
+	idx := int(c.pc-c.cfg.LocalBase) >> 2
+	if idx >= len(c.icache) {
+		// The pc is inside local memory, so idx < LocalSize/4.
+		c.icache = append(c.icache, make([]isa.Instr, idx+1-len(c.icache))...)
+	}
 	in := c.icache[idx]
 	if !in.Decoded {
 		in = isa.Decode(c.local.ReadWord(c.pc))
@@ -497,9 +504,12 @@ func (c *Core) memOp(in isa.Instr, addr uint32, storeVal uint32, next uint32) {
 		if in.Op.IsStore() {
 			c.local.Write(addr, size, storeVal)
 			// The store cannot straddle words (aligned, size <= 4):
-			// invalidate exactly the covered icache word, then adopt the
-			// new generation so the fetch path does not flush everything.
-			c.icache[(addr-c.cfg.LocalBase)>>2] = isa.Instr{}
+			// invalidate exactly the covered icache word (if the cache
+			// reaches it), then adopt the new generation so the fetch
+			// path does not flush everything.
+			if i := int(addr-c.cfg.LocalBase) >> 2; i < len(c.icache) {
+				c.icache[i] = isa.Instr{}
+			}
 			c.icacheGen = c.local.Gen()
 		} else {
 			c.SetReg(int(in.Rd), extendLoad(in.Op, c.local.Read(addr, size)))

@@ -31,13 +31,18 @@
 // the verified-node cache in slice-indexed arrays with a FIFO ring instead
 // of a map. Leaf and internal-node digests use fixed-length, domain-
 // separated compression chains (leafIV/nodeIV), so no length block is
-// needed on the hot path; the general Hash remains for variable-length
-// callers. None of this affects modeled IC cycles, which derive only from
-// the returned node-operation counts.
+// needed on the hot path, and the first step of each is keyed by a
+// schedule expanded once; the general Hash remains for variable-length
+// callers. Build, which every secured platform runs at boot over the same
+// image, is memoised per process. None of this affects modeled IC cycles,
+// which derive only from the returned node-operation counts.
 package hashtree
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/aes"
 	"repro/internal/mem"
@@ -71,11 +76,27 @@ var (
 	nodeIV = Digest{0x52, 0x45, 0x50, 0x52, 0x4f, 0x2d, 0x49, 0x43, 0x2d, 0x4e, 0x4f, 0x44, 0x45, 0x30, 0x31, 0x00}
 )
 
+// leafKS and nodeKS are leafIV and nodeIV expanded once: the first step of
+// every leaf and node digest is keyed by a fixed IV. Read-only after init.
+var leafKS, nodeKS = expanded(leafIV), expanded(nodeIV)
+
+func expanded(chain Digest) *aes.Schedule {
+	ks := new(aes.Schedule)
+	ks.Expand((*[16]byte)(&chain))
+	return ks
+}
+
 // compress is one Davies–Meyer step through a caller-provided schedule:
 // chain' = AES_chain(block) xor block. The schedule is scratch space; it is
 // re-expanded from the chaining value on every step.
 func compress(ks *aes.Schedule, chain Digest, block *[16]byte) Digest {
 	ks.Expand((*[16]byte)(&chain))
+	return compressKeyed(ks, block)
+}
+
+// compressKeyed is the Davies–Meyer step under a schedule already expanded
+// from the chaining value.
+func compressKeyed(ks *aes.Schedule, block *[16]byte) Digest {
 	var out Digest
 	ks.Encrypt((*[16]byte)(&out), block)
 	for i := range out {
@@ -128,7 +149,7 @@ func Hash(parts ...[]byte) Digest {
 func hashLeaf(data []byte, addr, version uint32) Digest {
 	_ = data[LeafSize-1]
 	var ks aes.Schedule
-	h := compress(&ks, leafIV, (*[16]byte)(data[0:16]))
+	h := compressKeyed(leafKS, (*[16]byte)(data[0:16]))
 	h = compress(&ks, h, (*[16]byte)(data[16:32]))
 	var meta [16]byte
 	putU32(meta[0:], addr)
@@ -140,7 +161,7 @@ func hashLeaf(data []byte, addr, version uint32) Digest {
 // child digests: two compression steps.
 func hashNode(l, r *Digest) Digest {
 	var ks aes.Schedule
-	h := compress(&ks, nodeIV, (*[16]byte)(l))
+	h := compressKeyed(nodeKS, (*[16]byte)(l))
 	return compress(&ks, h, (*[16]byte)(r))
 }
 
@@ -337,20 +358,101 @@ func putU32(b []byte, v uint32) {
 // Build recomputes every node from the current data contents and installs
 // the resulting root. Called once at boot after the LCF initializes the
 // protected region.
+//
+// The node array and root are a pure function of (DataBase, data bytes,
+// versions) — NodeBase only places the array — so Build is memoised per
+// process (buildMemo): a hit copies the remembered node array into the
+// store with one Poke and installs the remembered root, exactly what the
+// computation would have written. The computed path writes the array with
+// one Poke too.
 func (t *Tree) Build() {
 	t.cacheReset()
+	data := t.cfg.Store.View(t.cfg.DataBase, int(t.cfg.DataSize))
+	if buildMemo.load(t, data) {
+		return
+	}
+	nodes := make([]byte, NodesSize(t.cfg.DataSize))
+	node := func(n int) *Digest { return (*Digest)(nodes[(n-1)*DigestSize:]) }
 	for i := 0; i < t.leaves; i++ {
-		t.writeNode(t.leaves+i, t.leafDigest(i))
+		*node(t.leaves + i) = t.leafDigest(i)
 	}
 	for n := t.leaves - 1; n >= 1; n-- {
-		t.writeNode(n, t.combine(2*n, 2*n+1))
+		*node(n) = hashNode(node(2*n), node(2*n+1))
 	}
-	t.root = t.readNode(1)
+	t.cfg.Store.Poke(t.cfg.NodeBase, nodes)
+	t.root = *node(1)
+	buildMemo.add(&builtTree{
+		dataBase: t.cfg.DataBase,
+		data:     bytes.Clone(data),
+		versions: slices.Clone(t.versions),
+		nodes:    nodes,
+		root:     t.root,
+	})
 }
 
-func (t *Tree) combine(left, right int) Digest {
-	l, r := t.readNode(left), t.readNode(right)
-	return hashNode(&l, &r)
+// buildMemoSize bounds the build memo: a process normally builds one
+// kind of platform, and FIFO eviction keeps a stream of one-off trees
+// (key rotations, tests) from growing it.
+const buildMemoSize = 4
+
+// builtTree is one remembered Build. Its buffers are private copies, read
+// only under buildMemo's lock and never handed out, so no store aliases
+// them.
+type builtTree struct {
+	dataBase uint32
+	data     []byte
+	versions []uint32
+	nodes    []byte
+	root     Digest
+}
+
+// buildMemo holds the most recent distinct builds, oldest first, for the
+// whole process; the mutex serialises the concurrent platform builds of a
+// sweep's workers. Like a sync.Pool it is invisible to results: a hit
+// yields exactly the nodes and root the computation would.
+var buildMemo treeMemo
+
+type treeMemo struct {
+	mu      sync.Mutex
+	entries []*builtTree
+}
+
+// find returns the entry whose complete input equals (dataBase, data,
+// versions), compared byte for byte. The caller holds m.mu.
+func (m *treeMemo) find(dataBase uint32, data []byte, versions []uint32) *builtTree {
+	for _, b := range m.entries {
+		if b.dataBase == dataBase && bytes.Equal(b.data, data) && slices.Equal(b.versions, versions) {
+			return b
+		}
+	}
+	return nil
+}
+
+// load installs a remembered build of t's current input — node array
+// into the store, root on chip — and reports whether there was one.
+func (m *treeMemo) load(t *Tree, data []byte) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b := m.find(t.cfg.DataBase, data, t.versions)
+	if b != nil {
+		t.cfg.Store.Poke(t.cfg.NodeBase, b.nodes)
+		t.root = b.root
+	}
+	return b != nil
+}
+
+// add remembers b unless a concurrent Build got there first, evicting the
+// oldest entry beyond buildMemoSize.
+func (m *treeMemo) add(b *builtTree) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.find(b.dataBase, b.data, b.versions) != nil {
+		return
+	}
+	if len(m.entries) == buildMemoSize {
+		m.entries = append(m.entries[:0], m.entries[1:]...)
+	}
+	m.entries = append(m.entries, b)
 }
 
 // cacheReset empties the verified-node cache — by advancing the

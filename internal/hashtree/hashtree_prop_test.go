@@ -130,3 +130,23 @@ func BenchmarkUpdateLeaf(b *testing.B) {
 		tr.UpdateLeaf(i % 512)
 	}
 }
+
+// BenchmarkBuildCold measures Build over a tree the size of the Figure 1
+// platform's secure zone (32 KiB, 1024 leaves) when every iteration builds
+// an image not built before — the boot-time build of a process's first
+// platform. Under the build memo that is the miss path: the computation,
+// the byte-for-byte comparison with every remembered build (the images
+// differ only in their last word, so each comparison runs to the end) and
+// the copies the memo keeps.
+func BenchmarkBuildCold(b *testing.B) {
+	const size = 1024 * LeafSize
+	st := mem.NewStore(0, 2*size)
+	tr := MustNew(Config{Store: st, DataBase: 0, DataSize: size, NodeBase: size})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// b.N+i is new in every iteration, also across the runs of one
+		// process (b.N grows between them).
+		st.WriteWord(size-4, uint32(b.N+i))
+		tr.Build()
+	}
+}

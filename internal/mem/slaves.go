@@ -57,8 +57,8 @@ type DDR struct {
 	Reads, Writes uint64
 }
 
-// NewDDR creates a DDR slave of size bytes at base with the DESIGN.md §5
-// default timing.
+// NewDDR creates a DDR slave of size bytes at base with the default
+// timing: 18 cycles to the first beat of an access, 2 per further beat.
 func NewDDR(name string, base, size uint32) *DDR {
 	return &DDR{name: name, store: NewStore(base, size), FirstAccess: 18, PerBeat: 2}
 }

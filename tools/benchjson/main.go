@@ -5,13 +5,26 @@
 // BENCH_<pr>.json, the per-PR perf trajectory CI uploads as an artifact —
 // so future changes diff their benchmark numbers against history instead
 // of eyeballing logs.
+//
+// Given documents as arguments instead, benchjson merges them: every
+// benchmark keeps its entry with the median ns/op across the documents.
+// `make bench-baseline` commits the median of three bench-json runs, so
+// that one run landing in a fast phase of a shared host does not become
+// the reference every later run is held to.
+//
+// Usage:
+//
+//	benchjson < bench.txt > BENCH_<pr>.json
+//	benchjson BENCH_a.json BENCH_b.json BENCH_c.json > BENCH_baseline.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -36,8 +49,31 @@ type Doc struct {
 }
 
 func main() {
+	var (
+		doc Doc
+		err error
+	)
+	if len(os.Args) > 1 {
+		doc, err = medianOf(os.Args[1:])
+	} else {
+		doc, err = parse(os.Stdin)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	os.Stdout.Write(append(out, '\n'))
+}
+
+// parse reads `go test -bench` text output.
+func parse(r io.Reader) (Doc, error) {
 	doc := Doc{Bench: map[string]Entry{}}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -59,16 +95,42 @@ func main() {
 			record(&doc, name, e)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	return doc, sc.Err()
+}
+
+// medianOf reads benchjson documents and merges them with median.
+func medianOf(paths []string) (Doc, error) {
+	docs := make([]Doc, len(paths))
+	for i, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return Doc{}, err
+		}
+		if err := json.Unmarshal(data, &docs[i]); err != nil {
+			return Doc{}, fmt.Errorf("%s: %w", p, err)
+		}
 	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	return median(docs), nil
+}
+
+// median keeps, for every benchmark, its entry with the median ns/op
+// across the documents that have it (the lower middle one for an even
+// count), so each entry's fields stay those of one real run. The header
+// is the first document's.
+func median(docs []Doc) Doc {
+	out := docs[0]
+	out.Bench = map[string]Entry{}
+	runs := map[string][]Entry{}
+	for _, d := range docs {
+		for name, e := range d.Bench {
+			runs[name] = append(runs[name], e)
+		}
 	}
-	os.Stdout.Write(append(out, '\n'))
+	for name, es := range runs {
+		sort.Slice(es, func(i, j int) bool { return es[i].NsPerOp < es[j].NsPerOp })
+		out.Bench[name] = es[(len(es)-1)/2]
+	}
+	return out
 }
 
 // record stores a benchmark sample. Repeated runs of one benchmark

@@ -58,3 +58,22 @@ func TestRecordKeepsFastestSample(t *testing.T) {
 		t.Fatalf("kept %+v, want the fastest sample", got)
 	}
 }
+
+func TestMedianKeepsMiddleRun(t *testing.T) {
+	run := func(ns float64, iters int64) Doc {
+		return Doc{CPU: "cpu", Bench: map[string]Entry{"BenchmarkX": {NsPerOp: ns, Iterations: iters}}}
+	}
+	docs := []Doc{run(95, 1), run(80, 2), run(140, 3)}
+	docs[1].Bench["BenchmarkOnlyOnce"] = Entry{NsPerOp: 7}
+	got := median(docs)
+	if x := got.Bench["BenchmarkX"]; x.NsPerOp != 95 || x.Iterations != 1 {
+		t.Fatalf("kept %+v, want the median run's entry", x)
+	}
+	if got.Bench["BenchmarkOnlyOnce"].NsPerOp != 7 || got.CPU != "cpu" {
+		t.Fatalf("merged %+v", got)
+	}
+	even := median([]Doc{run(95, 1), run(80, 2)})
+	if x := even.Bench["BenchmarkX"]; x.NsPerOp != 80 {
+		t.Fatalf("even count kept %+v, want the lower middle run", x)
+	}
+}
