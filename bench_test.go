@@ -398,11 +398,16 @@ func BenchmarkEngineSecureThroughput(b *testing.B) {
 // an identical image is a memo hit, which is the steady state of a sweep
 // or daemon worker.
 //
-// A pair allocates about 1.7 MB. With the collector running freely, the
-// timed cost was mostly its pacing and the page faults on heap the runtime
-// had returned to the OS, and min-of-3 swung by 2x between runs on a
-// shared 2-vCPU host. So the collector is paused within a batch of builds
-// and run between batches with the timer stopped: the benchmark times the
+// The memories allocate their pages on first write, so a pair allocates
+// only the pages its boot writes: 96 KiB per distributed platform (the
+// two sealed 32 KiB zones and the tree's node array), about 370 KB per
+// distributed pair in all and about 70 KB per unprotected or centralized
+// one. When every platform still zeroed its 1.5 MiB of memories, about
+// 1.7 MB per pair, the timed cost with the collector running freely was
+// mostly its pacing and the page faults on heap the runtime had returned
+// to the OS, and min-of-3 swung by 2x between runs on a shared 2-vCPU
+// host. So the collector is paused within a batch of builds and run
+// between batches with the timer stopped: the benchmark times the
 // construction itself, zeroing of reused heap included, and B/op reports
 // the allocation the collector pays for.
 func BenchmarkPlatformBuild(b *testing.B) {

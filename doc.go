@@ -90,6 +90,22 @@
 // pairs). A seal the memo misses costs less than before too: 2.64 to
 // 1.95 ms (BenchmarkSealCold).
 //
+// The same rule lets a grid point allocate only the memory its run
+// writes. mem.Store allocates 4 KiB pages on first write: a page never
+// written reads as zeros, reads never allocate, and a Poke, Fill or
+// Restore of zeros into an unwritten page leaves it unallocated, so a
+// distributed pair allocates 48 pages at boot (its sealed zones and tree
+// nodes) and an unprotected or centralized pair none. The Integrity Core
+// copies leaf data and node digests into stack arrays (Store.PeekInto),
+// and the seal and build memos compare their keys with the store in
+// place (Store.Equal). core.AlertLog keeps the attacked half's alerts in
+// chunks that never move, and Since reports a count and the first alert
+// instead of copying the log's tail. No simulated cycle moves, and the
+// same gates are byte-identical across the change; a distributed
+// soc.NewPair went from 1.76 MB to 370 KB, and perfbench campaign-secmem
+// from 3,079 to 651 KB allocated per record and from 182 to 221
+// records/s (medians of 10 alternating pairs).
+//
 // # Scenario sweeps
 //
 // internal/sweep runs grids of independent platform configurations

@@ -149,14 +149,14 @@ func Run(sc Scenario, p soc.Protection) Outcome {
 // the injection cycle: whether any firewall noticed, which one first, what
 // violation class it reported, and how quickly.
 func (o *Outcome) classify(s *soc.System, inject uint64) {
-	alerts := s.Alerts.Since(inject)
-	if len(alerts) == 0 {
+	_, first := s.Alerts.Since(inject)
+	if first == nil {
 		return
 	}
 	o.Detected = true
-	o.DetectedBy = alerts[0].FirewallID
-	o.Violation = alerts[0].Violation
-	o.DetectLatency = alerts[0].Cycle - inject
+	o.DetectedBy = first.FirewallID
+	o.Violation = first.Violation
+	o.DetectLatency = first.Cycle - inject
 }
 
 // Scratch addresses the external-memory scenarios probe. All fall in the

@@ -515,13 +515,13 @@ func runOne(cfg Config, tr *obs.Tracer, newPair func(soc.Config) (*soc.Pair, err
 	rec.Contained = !v.GoalMet
 	rec.Goal = v.Notes
 
-	alerts := pair.Attacked.Alerts.Since(injectAt)
-	rec.Alerts = len(alerts)
-	if len(alerts) > 0 {
+	n, first := pair.Attacked.Alerts.Since(injectAt)
+	rec.Alerts = n
+	if first != nil {
 		rec.Detected = true
-		rec.DetectedBy = alerts[0].FirewallID
-		rec.Violation = alerts[0].Violation.String()
-		rec.DetectLatency = alerts[0].Cycle - injectAt
+		rec.DetectedBy = first.FirewallID
+		rec.Violation = first.Violation.String()
+		rec.DetectLatency = first.Cycle - injectAt
 	}
 	rec.Cores = pair.Attacked.CoreStats()
 	rec.Firewalls = pair.Attacked.FirewallStats()

@@ -52,20 +52,33 @@ func (a Alert) String() string {
 	return s + ")"
 }
 
+// alertChunk is the capacity of one block of an AlertLog. An attacked run
+// logs thousands of alerts; in fixed blocks that never move, an alert is
+// stored once and never copied again as the log grows.
+const alertChunk = 256
+
 // AlertLog collects alerts from every firewall in a platform. The
 // simulation is single-threaded, so no locking is needed.
 type AlertLog struct {
-	alerts []Alert
+	chunks []*[alertChunk]Alert // alert i is chunks[i/alertChunk][i%alertChunk]
+	n      int
 	subs   []func(Alert)
 }
 
 // NewAlertLog returns an empty log.
 func NewAlertLog() *AlertLog { return &AlertLog{} }
 
+// at returns the i-th alert in detection order.
+func (l *AlertLog) at(i int) *Alert { return &l.chunks[i/alertChunk][i%alertChunk] }
+
 // Record appends an alert and notifies subscribers (reaction logic such as
 // the quarantine Reactor).
 func (l *AlertLog) Record(a Alert) {
-	l.alerts = append(l.alerts, a)
+	if l.n == len(l.chunks)*alertChunk {
+		l.chunks = append(l.chunks, new([alertChunk]Alert))
+	}
+	*l.at(l.n) = a
+	l.n++
 	for _, fn := range l.subs {
 		fn(a)
 	}
@@ -81,19 +94,31 @@ func (l *AlertLog) Subscribe(fn func(Alert)) {
 }
 
 // All returns the alerts in detection order.
-func (l *AlertLog) All() []Alert { return append([]Alert(nil), l.alerts...) }
+func (l *AlertLog) All() []Alert {
+	if l.n == 0 {
+		return nil
+	}
+	out := make([]Alert, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c[:min(alertChunk, l.n-len(out))]...)
+		if len(out) == l.n {
+			break
+		}
+	}
+	return out
+}
 
 // Len returns the number of alerts.
-func (l *AlertLog) Len() int { return len(l.alerts) }
+func (l *AlertLog) Len() int { return l.n }
 
-// Reset clears the log.
-func (l *AlertLog) Reset() { l.alerts = l.alerts[:0] }
+// Reset clears the log. Its blocks are kept for the alerts that follow.
+func (l *AlertLog) Reset() { l.n = 0 }
 
 // CountByViolation aggregates alert counts per violation class.
 func (l *AlertLog) CountByViolation() map[Violation]int {
 	m := make(map[Violation]int)
-	for _, a := range l.alerts {
-		m[a.Violation]++
+	for i := 0; i < l.n; i++ {
+		m[l.at(i).Violation]++
 	}
 	return m
 }
@@ -101,30 +126,35 @@ func (l *AlertLog) CountByViolation() map[Violation]int {
 // CountByFirewall aggregates alert counts per raising interface.
 func (l *AlertLog) CountByFirewall() map[string]int {
 	m := make(map[string]int)
-	for _, a := range l.alerts {
-		m[a.FirewallID]++
+	for i := 0; i < l.n; i++ {
+		m[l.at(i).FirewallID]++
 	}
 	return m
 }
 
 // First returns the earliest alert matching the filter (nil filter = any),
-// or nil.
+// or nil. The alert stays in place as later alerts are recorded, until a
+// Reset.
 func (l *AlertLog) First(match func(Alert) bool) *Alert {
-	for i := range l.alerts {
-		if match == nil || match(l.alerts[i]) {
-			return &l.alerts[i]
+	for i := 0; i < l.n; i++ {
+		if a := l.at(i); match == nil || match(*a) {
+			return a
 		}
 	}
 	return nil
 }
 
-// Since returns alerts detected at or after the given cycle.
-func (l *AlertLog) Since(cycle uint64) []Alert {
-	var out []Alert
-	for _, a := range l.alerts {
-		if a.Cycle >= cycle {
-			out = append(out, a)
+// Since reports how many alerts were detected at or after the given cycle
+// and the earliest of them in detection order (nil when there are none),
+// copying none.
+func (l *AlertLog) Since(cycle uint64) (n int, first *Alert) {
+	for i := 0; i < l.n; i++ {
+		if a := l.at(i); a.Cycle >= cycle {
+			if first == nil {
+				first = a
+			}
+			n++
 		}
 	}
-	return out
+	return n, first
 }

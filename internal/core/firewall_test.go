@@ -214,8 +214,8 @@ func TestAlertLogAggregation(t *testing.T) {
 	if byF["a"] != 2 || byF["b"] != 1 {
 		t.Fatalf("CountByFirewall = %v", byF)
 	}
-	if got := log.Since(9); len(got) != 2 {
-		t.Fatalf("Since(9) = %d alerts", len(got))
+	if n, first := log.Since(9); n != 2 || first == nil || first.Cycle != 9 {
+		t.Fatalf("Since(9) = %d alerts, first %+v", n, first)
 	}
 	first := log.First(func(a core.Alert) bool { return a.FirewallID == "b" })
 	if first == nil || first.Cycle != 12 {

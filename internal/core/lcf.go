@@ -222,11 +222,11 @@ func (f *CipherFirewall) Seal() {
 // Seal in this process enciphered the same plaintext at the same base
 // under the same key.
 func (f *CipherFirewall) sealZone(p Policy) {
-	plain := f.store.View(p.Zone.Base, int(p.Zone.Size))
-	if sealMemo.load(f.store, p.Zone.Base, p.Key, plain) {
+	if sealMemo.load(f.store, p.Zone.Base, p.Key, int(p.Zone.Size)) {
 		return
 	}
-	z := &sealedZone{base: p.Zone.Base, key: p.Key, plain: bytes.Clone(plain), cipher: bytes.Clone(plain)}
+	plain := f.store.Peek(p.Zone.Base, int(p.Zone.Size))
+	z := &sealedZone{base: p.Zone.Base, key: p.Key, plain: plain, cipher: bytes.Clone(plain)}
 	cipherRange(f.cipherFor(p.Key), z.base, z.cipher, false)
 	f.store.Poke(z.base, z.cipher)
 	sealMemo.add(z)
@@ -259,22 +259,24 @@ type zoneMemo struct {
 }
 
 // find returns the entry whose complete input equals (base, key, plain),
-// compared byte for byte. The caller holds m.mu.
-func (m *zoneMemo) find(base uint32, key [16]byte, plain []byte) *sealedZone {
+// compared byte for byte: plain is size bytes long, and samePlain
+// compares an entry's plaintext of that length. The caller holds m.mu.
+func (m *zoneMemo) find(base uint32, key [16]byte, size int, samePlain func([]byte) bool) *sealedZone {
 	for _, z := range m.entries {
-		if z.base == base && z.key == key && bytes.Equal(z.plain, plain) {
+		if z.base == base && z.key == key && len(z.plain) == size && samePlain(z.plain) {
 			return z
 		}
 	}
 	return nil
 }
 
-// load copies a remembered ciphertext for (base, key, plain) into st and
-// reports whether there was one.
-func (m *zoneMemo) load(st *mem.Store, base uint32, key [16]byte, plain []byte) bool {
+// load copies a remembered ciphertext for (base, key, the size bytes the
+// zone holds in st) into st and reports whether there was one. It
+// compares the zone in place, so a hit copies nothing out of the store.
+func (m *zoneMemo) load(st *mem.Store, base uint32, key [16]byte, size int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	z := m.find(base, key, plain)
+	z := m.find(base, key, size, func(plain []byte) bool { return st.Equal(base, plain) })
 	if z != nil {
 		st.Poke(base, z.cipher)
 	}
@@ -286,7 +288,7 @@ func (m *zoneMemo) load(st *mem.Store, base uint32, key [16]byte, plain []byte) 
 func (m *zoneMemo) add(z *sealedZone) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.find(z.base, z.key, z.plain) != nil {
+	if m.find(z.base, z.key, len(z.plain), func(plain []byte) bool { return bytes.Equal(plain, z.plain) }) != nil {
 		return
 	}
 	if len(m.entries) == sealMemoSize {
@@ -453,7 +455,7 @@ func (f *CipherFirewall) Access(now uint64, tx *bus.Transaction) (uint64, bus.Re
 	// 3. Confidentiality: decrypt covering blocks into the scratch
 	// buffer (the write path merges beats into it and re-encrypts, so
 	// the store itself only ever holds ciphertext).
-	copy(buf, f.store.View(lo, len(buf)))
+	f.store.PeekInto(buf, lo)
 	if pol.CM {
 		cipherRange(f.cipherFor(pol.Key), lo, buf, true)
 		f.crypto.BlocksDeciphered += uint64(nBlocks)

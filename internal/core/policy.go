@@ -21,8 +21,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RWA is the Read/Write Access rule of a security policy (§IV-A).
@@ -252,14 +253,17 @@ type ConfigMemory struct {
 }
 
 // NewConfigMemory builds a configuration memory from rules. It rejects
-// rules with zero-size zones.
+// rules with zero-size zones. The match order is the one Add would build
+// rule by rule: one stable sort of the whole list orders equal zone sizes
+// by insertion, as successive stable insertions do.
 func NewConfigMemory(rules ...Policy) (*ConfigMemory, error) {
-	cm := &ConfigMemory{}
 	for _, r := range rules {
-		if err := cm.Add(r); err != nil {
+		if err := checkRule(r); err != nil {
 			return nil, err
 		}
 	}
+	cm := &ConfigMemory{policies: slices.Clone(rules)}
+	cm.sort()
 	return cm, nil
 }
 
@@ -275,16 +279,28 @@ func MustConfig(rules ...Policy) *ConfigMemory {
 // Add appends a rule (reconfiguration of security services — the paper's
 // stated perspective — amounts to Add/Remove at run time).
 func (cm *ConfigMemory) Add(r Policy) error {
+	if err := checkRule(r); err != nil {
+		return err
+	}
+	cm.policies = append(cm.policies, r)
+	cm.sort()
+	return nil
+}
+
+// checkRule rejects a rule no configuration memory may hold.
+func checkRule(r Policy) error {
 	if r.Zone.Size == 0 {
 		return fmt.Errorf("core: policy SPI %d has empty zone", r.SPI)
 	}
-	cm.policies = append(cm.policies, r)
-	// Most-specific (smallest) zone first so overlapping rules behave
-	// predictably; stable to keep insertion order among equals.
-	sort.SliceStable(cm.policies, func(i, j int) bool {
-		return cm.policies[i].Zone.Size < cm.policies[j].Zone.Size
-	})
 	return nil
+}
+
+// sort puts the most-specific (smallest) zone first so overlapping rules
+// behave predictably; stable to keep insertion order among equals.
+func (cm *ConfigMemory) sort() {
+	slices.SortStableFunc(cm.policies, func(a, b Policy) int {
+		return cmp.Compare(a.Zone.Size, b.Zone.Size)
+	})
 }
 
 // Remove deletes all rules with the given SPI and reports how many were

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +161,36 @@ func TestAddRemoveRules(t *testing.T) {
 	}
 	if _, v := cm.Check("x", false, 0, 4, 1); v != VZone {
 		t.Fatal("removed rule still effective")
+	}
+}
+
+// Property: NewConfigMemory's one stable sort of the whole rule list gives
+// the match order of adding the rules one at a time, where each Add
+// re-sorts — smallest zone first, insertion order among equal sizes.
+func TestConfigMemoryOneSortEqualsAdds(t *testing.T) {
+	prop := func(sizes []uint8) bool {
+		rules := make([]Policy, len(sizes))
+		for i, sz := range sizes {
+			rules[i] = Policy{SPI: uint32(i), Zone: Zone{uint32(i) * 0x100, 1 + uint32(sz%5)}, RWA: RWA(i % 4)}
+		}
+		built := MustConfig(rules...)
+		added := MustConfig()
+		for _, r := range rules {
+			if err := added.Add(r); err != nil {
+				return false
+			}
+		}
+		got := built.Policies()
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			if a.Zone.Size > b.Zone.Size || a.Zone.Size == b.Zone.Size && a.SPI > b.SPI {
+				return false
+			}
+		}
+		return reflect.DeepEqual(got, added.Policies())
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

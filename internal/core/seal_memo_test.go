@@ -208,3 +208,80 @@ func TestSealMemoBounded(t *testing.T) {
 		t.Fatalf("oldest remembered key has tag %d, want 1 (tag 0 evicted first)", oldest)
 	}
 }
+
+// TestSealMemoComparesUnwrittenPages: zones that were never written are
+// sealed from the memo like any other, and one non-zero byte in a page the
+// other platform never wrote is a different input, whichever of the two
+// is sealed first; the miss seals what an empty memo would.
+func TestSealMemoComparesUnwrittenPages(t *testing.T) {
+	build := func(marked bool) (*CipherFirewall, *mem.Store) {
+		f, st := unsealedMemoLCF(t)
+		if marked {
+			st.Poke(memoCipher+0x1000+77, []byte{0x3C}) // the CM-only zone's second 4 KiB store page
+		}
+		f.Seal()
+		return f, st
+	}
+	for _, markedFirst := range []bool{false, true} {
+		clearSealMemo()
+		a, sa := build(markedFirst)
+		b, sb := build(markedFirst)
+		if n := sealMemoLen(); n != 2 {
+			t.Fatalf("marked first %v: memo holds %d zones after a hit, want 2", markedFirst, n)
+		}
+		sameSealed(t, "hit", a, sa, b, sb)
+		c, sc := build(!markedFirst)
+		if n := sealMemoLen(); n != 3 {
+			t.Fatalf("marked first %v: memo holds %d zones, want 3 (the one-byte difference must miss)", markedFirst, n)
+		}
+		clearSealMemo()
+		d, sd := build(!markedFirst)
+		sameSealed(t, "miss", c, sc, d, sd)
+	}
+}
+
+// cmOnlyLCF returns an unsealed firewall over a fresh DDR of ddrSize bytes
+// whose one CM-only zone, under memoKeyB, is the size bytes at its base.
+func cmOnlyLCF(t *testing.T, ddrSize, size uint32) (*CipherFirewall, *mem.Store) {
+	t.Helper()
+	ddr := mem.NewDDR("ddr", memoDDR, ddrSize)
+	cm := MustConfig(Policy{SPI: 2, Zone: Zone{memoDDR, size}, RWA: ReadWrite, ADF: AnyWidth, CM: true, Key: memoKeyB})
+	f, err := NewCipherFirewall(LCFConfig{}, ddr, ddr.Store(), cm, NewAlertLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, ddr.Store()
+}
+
+// TestSealMemoKeysZoneLength: a zone's length is part of its memo key. A
+// zone whose leading bytes equal a shorter remembered zone at the same
+// base under the same key misses and is enciphered to its end; a shorter
+// zone sealed after a longer one misses without reading past the end of
+// its smaller store. Both seal what an empty memo would.
+func TestSealMemoKeysZoneLength(t *testing.T) {
+	const short, long = 0x2000, 0x8000
+	sealed := func(ddrSize, size uint32) *mem.Store {
+		f, st := cmOnlyLCF(t, ddrSize, size)
+		f.Seal()
+		return st
+	}
+	for _, tc := range []struct {
+		name              string
+		firstDDR, first   uint32
+		secondDDR, second uint32
+	}{
+		{"longer after shorter", 0x10000, short, 0x10000, long},
+		{"shorter after longer, at the store's end", long, long, short, short},
+	} {
+		clearSealMemo()
+		sealed(tc.firstDDR, tc.first)
+		got := sealed(tc.secondDDR, tc.second)
+		if n := sealMemoLen(); n != 2 {
+			t.Fatalf("%s: memo holds %d zones, want 2 (the second length must miss)", tc.name, n)
+		}
+		clearSealMemo()
+		if want := sealed(tc.secondDDR, tc.second); !bytes.Equal(got.Snapshot(), want.Snapshot()) {
+			t.Fatalf("%s: the second zone differs from a cold seal of it", tc.name)
+		}
+	}
+}

@@ -85,7 +85,7 @@ func TestUpdateLeafForgedSiblingSubtree(t *testing.T) {
 		forged[i] = byte(0xEE ^ i)
 	}
 	st.Poke(leaf5, forged)
-	d13 := hashLeaf(st.View(leaf5, LeafSize), leaf5, tr.Version(5))
+	d13 := hashLeaf(st.Peek(leaf5, LeafSize), leaf5, tr.Version(5))
 	st.Poke(tr.nodeAddr(13), d13[:])
 	d12, d7 := tr.readNode(12), tr.readNode(7)
 	d6 := hashNode(&d12, &d13)

@@ -26,8 +26,8 @@
 // Host-side cost discipline: one modeled node check is a handful of
 // Davies–Meyer steps, each of which re-keys AES with the chaining value.
 // The tree therefore hashes through stack-resident aes.Schedule values
-// (zero heap traffic), reads leaf data and node digests through
-// mem.Store.View (no copies), walks paths in fixed-size arrays, and keeps
+// (zero heap traffic), copies leaf data and node digests into stack
+// arrays (mem.Store.PeekInto), walks paths in fixed-size arrays, and keeps
 // the verified-node cache in slice-indexed arrays with a FIFO ring instead
 // of a map. Leaf and internal-node digests use fixed-length, domain-
 // separated compression chains (leafIV/nodeIV), so no length block is
@@ -336,7 +336,7 @@ func (t *Tree) nodeAddr(n int) uint32 {
 
 func (t *Tree) readNode(n int) Digest {
 	var d Digest
-	copy(d[:], t.cfg.Store.View(t.nodeAddr(n), DigestSize))
+	t.cfg.Store.PeekInto(d[:], t.nodeAddr(n))
 	return d
 }
 
@@ -348,7 +348,9 @@ func (t *Tree) writeNode(n int, d Digest) {
 // on-chip address/version binding.
 func (t *Tree) leafDigest(idx int) Digest {
 	addr := t.cfg.DataBase + uint32(idx)*LeafSize
-	return hashLeaf(t.cfg.Store.View(addr, LeafSize), addr, t.versions[idx])
+	var data [LeafSize]byte
+	t.cfg.Store.PeekInto(data[:], addr)
+	return hashLeaf(data[:], addr, t.versions[idx])
 }
 
 func putU32(b []byte, v uint32) {
@@ -367,10 +369,10 @@ func putU32(b []byte, v uint32) {
 // one Poke too.
 func (t *Tree) Build() {
 	t.cacheReset()
-	data := t.cfg.Store.View(t.cfg.DataBase, int(t.cfg.DataSize))
-	if buildMemo.load(t, data) {
+	if buildMemo.load(t) {
 		return
 	}
+	data := t.cfg.Store.Peek(t.cfg.DataBase, int(t.cfg.DataSize))
 	nodes := make([]byte, NodesSize(t.cfg.DataSize))
 	node := func(n int) *Digest { return (*Digest)(nodes[(n-1)*DigestSize:]) }
 	for i := 0; i < t.leaves; i++ {
@@ -383,7 +385,7 @@ func (t *Tree) Build() {
 	t.root = *node(1)
 	buildMemo.add(&builtTree{
 		dataBase: t.cfg.DataBase,
-		data:     bytes.Clone(data),
+		data:     data,
 		versions: slices.Clone(t.versions),
 		nodes:    nodes,
 		root:     t.root,
@@ -418,10 +420,12 @@ type treeMemo struct {
 }
 
 // find returns the entry whose complete input equals (dataBase, data,
-// versions), compared byte for byte. The caller holds m.mu.
-func (m *treeMemo) find(dataBase uint32, data []byte, versions []uint32) *builtTree {
+// versions), compared byte for byte; sameData compares an entry's data
+// bytes. The versions go first: there is one per leaf, so equal versions
+// mean data of equal length. The caller holds m.mu.
+func (m *treeMemo) find(dataBase uint32, sameData func([]byte) bool, versions []uint32) *builtTree {
 	for _, b := range m.entries {
-		if b.dataBase == dataBase && bytes.Equal(b.data, data) && slices.Equal(b.versions, versions) {
+		if b.dataBase == dataBase && slices.Equal(b.versions, versions) && sameData(b.data) {
 			return b
 		}
 	}
@@ -429,11 +433,13 @@ func (m *treeMemo) find(dataBase uint32, data []byte, versions []uint32) *builtT
 }
 
 // load installs a remembered build of t's current input — node array
-// into the store, root on chip — and reports whether there was one.
-func (m *treeMemo) load(t *Tree, data []byte) bool {
+// into the store, root on chip — and reports whether there was one. It
+// compares the data in place, so a hit copies nothing out of the store.
+func (m *treeMemo) load(t *Tree) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b := m.find(t.cfg.DataBase, data, t.versions)
+	st, base := t.cfg.Store, t.cfg.DataBase
+	b := m.find(base, func(data []byte) bool { return st.Equal(base, data) }, t.versions)
 	if b != nil {
 		t.cfg.Store.Poke(t.cfg.NodeBase, b.nodes)
 		t.root = b.root
@@ -446,7 +452,7 @@ func (m *treeMemo) load(t *Tree, data []byte) bool {
 func (m *treeMemo) add(b *builtTree) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.find(b.dataBase, b.data, b.versions) != nil {
+	if m.find(b.dataBase, func(data []byte) bool { return bytes.Equal(data, b.data) }, b.versions) != nil {
 		return
 	}
 	if len(m.entries) == buildMemoSize {

@@ -191,3 +191,75 @@ func TestBuildMemoConcurrentFirstBuilds(t *testing.T) {
 		t.Fatalf("memo holds %d entries for one input, want 1", memoLen())
 	}
 }
+
+// TestBuildMemoComparesUnwrittenPages: a tree over data that was never
+// written is built from the memo like any other, and one non-zero byte in
+// a page the other store never wrote is a different input, whichever of
+// the two is built first; the miss builds what an empty memo would.
+func TestBuildMemoComparesUnwrittenPages(t *testing.T) {
+	const page = 0x1000 // a mem.Store allocates 4 KiB pages
+	const data, nodes, size = 0x4000_0000, 0x4000_4000, 4 * page
+	build := func(marked bool) (*Tree, *mem.Store) {
+		st := mem.NewStore(data, 0x8000)
+		tr, err := New(Config{Store: st, DataBase: data, DataSize: size, NodeBase: nodes, CacheSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if marked {
+			st.Poke(data+2*page+123, []byte{0x5A})
+		}
+		tr.Build()
+		return tr, st
+	}
+	same := func(what string, a *Tree, sa *mem.Store, b *Tree, sb *mem.Store) {
+		t.Helper()
+		if !bytes.Equal(sa.Peek(nodes, int(NodesSize(size))), sb.Peek(nodes, int(NodesSize(size)))) || a.Root() != b.Root() {
+			t.Fatalf("%s: node arrays or roots differ", what)
+		}
+		if bad := b.VerifyAll(); bad != -1 {
+			t.Fatalf("%s: leaf %d fails verification", what, bad)
+		}
+	}
+	for _, markedFirst := range []bool{false, true} {
+		clearBuildMemo()
+		a, sa := build(markedFirst)
+		b, sb := build(markedFirst)
+		if memoLen() != 1 {
+			t.Fatalf("marked first %v: memo holds %d entries after a hit, want 1", markedFirst, memoLen())
+		}
+		same("hit", a, sa, b, sb)
+		c, sc := build(!markedFirst)
+		if memoLen() != 2 || c.Root() == a.Root() {
+			t.Fatalf("marked first %v: the one-byte difference did not miss", markedFirst)
+		}
+		clearBuildMemo()
+		d, sd := build(!markedFirst)
+		same("miss", d, sd, c, sc)
+	}
+}
+
+// TestBuildMemoKeysDataLength: a shorter tree at the same DataBase after a
+// longer one misses, in a store too small for the longer tree's data, and
+// builds what an empty memo would.
+func TestBuildMemoKeysDataLength(t *testing.T) {
+	build := func(size uint32) (*Tree, *mem.Store) {
+		st := mem.NewStore(memoData, size+NodesSize(size))
+		tr, err := New(Config{Store: st, DataBase: memoData, DataSize: size, NodeBase: memoData + size, CacheSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Build()
+		return tr, st
+	}
+	clearBuildMemo()
+	build(memoSize)
+	got, sgot := build(memoSize / 4)
+	if n := memoLen(); n != 2 {
+		t.Fatalf("memo holds %d builds, want 2 (the shorter data must miss)", n)
+	}
+	clearBuildMemo()
+	want, swant := build(memoSize / 4)
+	if got.Root() != want.Root() || !bytes.Equal(sgot.Snapshot(), swant.Snapshot()) {
+		t.Fatal("the shorter tree differs from a cold build of it")
+	}
+}

@@ -8,16 +8,39 @@
 // memory are not). Attack injectors in internal/attack use it.
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
-// Store is a flat little-endian byte memory covering [base, base+len).
+// pageSize is the allocation granule of a Store. A platform boots a DDR,
+// a BRAM and one local memory per core, and a run writes a few dozen
+// pages of them, so a store allocates a page on the first write that
+// lands in it; a page never written reads as zeros.
+const pageSize = 1 << pageShift
+
+const (
+	pageShift = 12           // log2(pageSize): offset o lies in page o>>pageShift
+	pageMask  = pageSize - 1 // selects the offset within a page
+)
+
+// zeroPage is compared against, never written: bytes that would land in
+// an unwritten page and equal it need no page.
+var zeroPage [pageSize]byte
+
+// Store is a flat little-endian byte memory covering [base, base+size).
+// Its contents live in pages of pageSize bytes, allocated on first write;
+// reads never allocate. The paging is invisible through the API: every
+// method behaves as over one zero-initialised array.
 type Store struct {
-	base uint32
-	data []byte
-	gen  uint64
+	base  uint32
+	size  uint32
+	pages []*[pageSize]byte
+	gen   uint64
 }
 
-// NewStore allocates a zeroed store of size bytes based at base.
+// NewStore returns a zeroed store of size bytes based at base. It
+// allocates only the page table.
 func NewStore(base, size uint32) *Store {
 	if size == 0 {
 		panic("mem: zero-size store")
@@ -25,32 +48,45 @@ func NewStore(base, size uint32) *Store {
 	if uint64(base)+uint64(size) > 1<<32 {
 		panic(fmt.Sprintf("mem: store [%#x,+%#x) exceeds 32-bit space", base, size))
 	}
-	return &Store{base: base, data: make([]byte, size)}
+	return &Store{base: base, size: size, pages: make([]*[pageSize]byte, (uint64(size)+pageSize-1)/pageSize)}
 }
 
 // Base returns the first mapped address.
 func (s *Store) Base() uint32 { return s.base }
 
 // Size returns the store size in bytes.
-func (s *Store) Size() uint32 { return uint32(len(s.data)) }
+func (s *Store) Size() uint32 { return s.size }
 
 // InRange reports whether [addr, addr+n) lies inside the store.
 func (s *Store) InRange(addr uint32, n uint32) bool {
-	return addr >= s.base && uint64(addr)+uint64(n) <= uint64(s.base)+uint64(len(s.data))
+	return addr >= s.base && uint64(addr)+uint64(n) <= uint64(s.base)+uint64(s.size)
 }
 
-// Gen returns the mutation generation: it changes on every write through
-// any Store method. Callers that cache derived views of the contents (the
-// CPU's decoded-instruction cache) compare generations to detect writes
-// made behind their back — including Poke-based attack injection.
+// Gen returns the mutation generation: it changes on every call of a
+// write method (Write, Poke, Fill, Restore), whether or not the call
+// allocates a page or changes a byte. Callers that cache derived views of
+// the contents (the CPU's decoded-instruction cache) compare generations
+// to detect writes made behind their back — including Poke-based attack
+// injection.
 func (s *Store) Gen() uint64 { return s.gen }
 
 func (s *Store) offset(addr uint32, n int) int {
 	if !s.InRange(addr, uint32(n)) {
 		panic(fmt.Sprintf("mem: access [%#x,+%d) outside store [%#x,+%#x)",
-			addr, n, s.base, len(s.data)))
+			addr, n, s.base, s.size))
 	}
 	return int(addr - s.base)
+}
+
+// page returns the page holding offset o, allocating it if it was never
+// written.
+func (s *Store) page(o int) *[pageSize]byte {
+	p := s.pages[o>>pageShift]
+	if p == nil {
+		p = new([pageSize]byte)
+		s.pages[o>>pageShift] = p
+	}
+	return p
 }
 
 // Read returns the size-byte (1, 2 or 4) little-endian value at addr in the
@@ -58,18 +94,36 @@ func (s *Store) offset(addr uint32, n int) int {
 func (s *Store) Read(addr uint32, size int) uint32 {
 	o := s.offset(addr, size)
 	var v uint32
+	if in := o & pageMask; in+size <= pageSize {
+		if p := s.pages[o>>pageShift]; p != nil {
+			for i := 0; i < size; i++ {
+				v |= uint32(p[in+i]) << (8 * i)
+			}
+		}
+		return v
+	}
+	var b [4]byte
+	s.copyOut(b[:size], o)
 	for i := 0; i < size; i++ {
-		v |= uint32(s.data[o+i]) << (8 * i)
+		v |= uint32(b[i]) << (8 * i)
 	}
 	return v
 }
 
-// Write stores the low size bytes of v at addr, little-endian.
+// Write stores the low size bytes of v at addr, little-endian. It
+// allocates the pages it lands in.
 func (s *Store) Write(addr uint32, size int, v uint32) {
 	o := s.offset(addr, size)
 	s.gen++
+	if in := o & pageMask; in+size <= pageSize {
+		p := s.page(o)
+		for i := 0; i < size; i++ {
+			p[in+i] = byte(v >> (8 * i))
+		}
+		return
+	}
 	for i := 0; i < size; i++ {
-		s.data[o+i] = byte(v >> (8 * i))
+		s.page(o + i)[(o+i)&pageMask] = byte(v >> (8 * i))
 	}
 }
 
@@ -82,51 +136,109 @@ func (s *Store) WriteWord(addr uint32, v uint32) { s.Write(addr, 4, v) }
 // Peek copies n bytes starting at addr. It models an attacker (or debug
 // probe) reading the physical memory directly, bypassing bus and firewalls.
 func (s *Store) Peek(addr uint32, n int) []byte {
-	o := s.offset(addr, n)
 	out := make([]byte, n)
-	copy(out, s.data[o:o+n])
+	s.PeekInto(out, addr)
 	return out
 }
 
-// View returns a direct read-only window onto n bytes starting at addr,
-// without copying. It is the allocation-free sibling of Peek for hot
-// readers (the Integrity Core hashes leaf data and tree nodes on every
-// secured access). Callers must not write through the returned slice —
-// that would bypass the mutation generation — and must not hold it across
-// writes they need isolation from.
-func (s *Store) View(addr uint32, n int) []byte {
-	o := s.offset(addr, n)
-	return s.data[o : o+n : o+n]
+// PeekInto copies len(dst) bytes starting at addr into dst: Peek into the
+// caller's buffer, for hot readers (the Integrity Core reads a leaf or a
+// node digest on every secured access) that keep it on their stack.
+func (s *Store) PeekInto(dst []byte, addr uint32) {
+	s.copyOut(dst, s.offset(addr, len(dst)))
+}
+
+// copyOut fills dst from the bytes at offset o.
+func (s *Store) copyOut(dst []byte, o int) {
+	for len(dst) > 0 {
+		in := o & pageMask
+		k := min(len(dst), pageSize-in)
+		if p := s.pages[o>>pageShift]; p != nil {
+			copy(dst, p[in:in+k])
+		} else {
+			clear(dst[:k])
+		}
+		dst, o = dst[k:], o+k
+	}
+}
+
+// Equal reports whether the len(b) bytes starting at addr equal b,
+// without copying them out.
+func (s *Store) Equal(addr uint32, b []byte) bool {
+	o := s.offset(addr, len(b))
+	for len(b) > 0 {
+		in := o & pageMask
+		k := min(len(b), pageSize-in)
+		have := zeroPage[:k]
+		if p := s.pages[o>>pageShift]; p != nil {
+			have = p[in : in+k]
+		}
+		if !bytes.Equal(have, b[:k]) {
+			return false
+		}
+		b, o = b[k:], o+k
+	}
+	return true
 }
 
 // Poke overwrites len(b) bytes starting at addr, bypassing bus and
 // firewalls. It is the attack-injection primitive for external-memory
-// tampering.
+// tampering. Bytes bound for an unwritten page allocate it only if one of
+// them is non-zero.
 func (s *Store) Poke(addr uint32, b []byte) {
 	o := s.offset(addr, len(b))
 	s.gen++
-	copy(s.data[o:], b)
+	s.copyIn(o, b)
 }
 
-// Fill sets every byte of [addr, addr+n) to v.
+// copyIn writes b at offset o, leaving an unwritten page unallocated when
+// its part of b is all zeros.
+func (s *Store) copyIn(o int, b []byte) {
+	for len(b) > 0 {
+		in := o & pageMask
+		k := min(len(b), pageSize-in)
+		if s.pages[o>>pageShift] != nil || !bytes.Equal(b[:k], zeroPage[:k]) {
+			copy(s.page(o)[in:], b[:k])
+		}
+		b, o = b[k:], o+k
+	}
+}
+
+// Fill sets every byte of [addr, addr+n) to v. Filling zeros allocates no
+// page.
 func (s *Store) Fill(addr uint32, n int, v byte) {
 	o := s.offset(addr, n)
 	s.gen++
-	for i := 0; i < n; i++ {
-		s.data[o+i] = v
+	for n > 0 {
+		in := o & pageMask
+		k := min(n, pageSize-in)
+		if v != 0 || s.pages[o>>pageShift] != nil {
+			seg := s.page(o)[in : in+k]
+			for i := range seg {
+				seg[i] = v
+			}
+		}
+		n, o = n-k, o+k
 	}
 }
 
 // Snapshot returns a copy of the full contents (attack replay support).
 func (s *Store) Snapshot() []byte {
-	return append([]byte(nil), s.data...)
+	out := make([]byte, s.size)
+	for i, p := range s.pages {
+		if p != nil {
+			copy(out[i*pageSize:], p[:])
+		}
+	}
+	return out
 }
 
 // Restore overwrites the full contents from a snapshot taken earlier.
+// Pages the snapshot holds only zeros for stay unallocated if they were.
 func (s *Store) Restore(b []byte) {
-	if len(b) != len(s.data) {
-		panic(fmt.Sprintf("mem: restore size %d != store size %d", len(b), len(s.data)))
+	if len(b) != int(s.size) {
+		panic(fmt.Sprintf("mem: restore size %d != store size %d", len(b), s.size))
 	}
 	s.gen++
-	copy(s.data, b)
+	s.copyIn(0, b)
 }

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -141,4 +143,232 @@ func TestNewStoreRejectsAddressOverflow(t *testing.T) {
 		}
 	}()
 	NewStore(0xFFFF_F000, 0x2000)
+}
+
+// TestStoreMatchesFlatModel drives a paged store and a flat []byte model
+// through the same random operations — accesses at every width, aligned or
+// not and across page boundaries, short and multi-page
+// Peek/PeekInto/Poke/Fill, Equal, Snapshot and Restore — and requires the
+// same contents and generation after every one. It starts over from a new
+// store every 300 operations, so operations keep meeting unwritten pages.
+func TestStoreMatchesFlatModel(t *testing.T) {
+	const base, size = 0x4000_0000, 6*pageSize + 100 // a partial last page too
+	var (
+		s   *Store
+		ref []byte
+		gen uint64
+	)
+	rng := rand.New(rand.NewPCG(21, 2011))
+	// span returns the length of a multi-byte operation: short or up to
+	// two pages.
+	span := func() int {
+		if rng.IntN(2) == 0 {
+			return 1 + rng.IntN(64)
+		}
+		return 1 + rng.IntN(2*pageSize)
+	}
+	// pick returns the offset of an n-byte span, half the time straddling
+	// or touching a page boundary.
+	pick := func(n int) int {
+		if rng.IntN(2) == 0 {
+			o := rng.IntN(size/pageSize+1)*pageSize - rng.IntN(n+4)
+			return min(max(o, 0), size-n)
+		}
+		return rng.IntN(size - n + 1)
+	}
+	// payload is n bytes: all zero, sparse or dense.
+	payload := func(n int) []byte {
+		b := make([]byte, n)
+		switch rng.IntN(3) {
+		case 1:
+			b[rng.IntN(n)] = byte(1 + rng.IntN(255))
+		case 2:
+			for i := range b {
+				b[i] = byte(rng.Uint32())
+			}
+		}
+		return b
+	}
+	got := make([]byte, size)
+	for step := 0; step < 3000; step++ {
+		if step%300 == 0 {
+			s, ref, gen = NewStore(base, size), make([]byte, size), 0
+		}
+		switch rng.IntN(9) {
+		case 0: // Write
+			w := []int{1, 2, 4}[rng.IntN(3)]
+			o, v := pick(w), rng.Uint32()
+			if rng.IntN(4) == 0 {
+				v = 0
+			}
+			s.Write(base+uint32(o), w, v)
+			for i := 0; i < w; i++ {
+				ref[o+i] = byte(v >> (8 * i))
+			}
+			gen++
+		case 1: // Read
+			w := []int{1, 2, 4}[rng.IntN(3)]
+			o := pick(w)
+			var want uint32
+			for i := 0; i < w; i++ {
+				want |= uint32(ref[o+i]) << (8 * i)
+			}
+			if v := s.Read(base+uint32(o), w); v != want {
+				t.Fatalf("step %d: Read(+%#x, %d) = %#x, want %#x", step, o, w, v, want)
+			}
+		case 2: // Peek, PeekInto
+			n := span()
+			o := pick(n)
+			if b := s.Peek(base+uint32(o), n); !bytes.Equal(b, ref[o:o+n]) {
+				t.Fatalf("step %d: Peek(+%#x, %d) differs", step, o, n)
+			}
+			dst := payload(n) // stale bytes PeekInto must overwrite
+			s.PeekInto(dst, base+uint32(o))
+			if !bytes.Equal(dst, ref[o:o+n]) {
+				t.Fatalf("step %d: PeekInto(+%#x, %d) differs", step, o, n)
+			}
+		case 3: // Poke
+			n := span()
+			o, b := pick(n), payload(n)
+			s.Poke(base+uint32(o), b)
+			copy(ref[o:], b)
+			gen++
+		case 4: // Fill
+			n := span()
+			o, v := pick(n), byte(0)
+			if rng.IntN(2) == 0 {
+				v = byte(1 + rng.IntN(255))
+			}
+			s.Fill(base+uint32(o), n, v)
+			for i := o; i < o+n; i++ {
+				ref[i] = v
+			}
+			gen++
+		case 5: // Equal, on the contents and on a one-byte change of them
+			n := span()
+			o := pick(n)
+			b := bytes.Clone(ref[o : o+n])
+			if !s.Equal(base+uint32(o), b) {
+				t.Fatalf("step %d: Equal(+%#x, %d) = false on equal bytes", step, o, n)
+			}
+			b[rng.IntN(n)] ^= byte(1 + rng.IntN(255))
+			if s.Equal(base+uint32(o), b) {
+				t.Fatalf("step %d: Equal(+%#x, %d) = true on a changed byte", step, o, n)
+			}
+		case 6: // Snapshot
+			if !bytes.Equal(s.Snapshot(), ref) {
+				t.Fatalf("step %d: Snapshot differs", step)
+			}
+		case 7: // Restore a snapshot, a zeroed image or a sparse one
+			img := make([]byte, size)
+			switch rng.IntN(3) {
+			case 0:
+				copy(img, ref)
+				img[rng.IntN(size)]++
+			case 1:
+				img[rng.IntN(size)] = 0xA5
+			}
+			s.Restore(img)
+			copy(ref, img)
+			gen++
+		case 8: // a full-width read at the very end of a page
+			o := rng.IntN(size/pageSize)*pageSize + pageSize - 1 - rng.IntN(3)
+			s.Write(base+uint32(o), 4, 0x0102_0304)
+			ref[o], ref[o+1], ref[o+2], ref[o+3] = 4, 3, 2, 1
+			gen++
+		}
+		if s.Gen() != gen {
+			t.Fatalf("step %d: Gen = %d, want %d", step, s.Gen(), gen)
+		}
+		s.PeekInto(got, base)
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("step %d: contents differ from the flat model", step)
+		}
+	}
+}
+
+// allocatedPages counts the pages s has allocated.
+func allocatedPages(s *Store) int {
+	n := 0
+	for _, p := range s.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// heapBytes returns the heap bytes f allocates.
+func heapBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+var storeSink *Store
+
+// TestNewStoreAllocatesOnlyPageTable: building a 512 KiB store (the DDR's
+// size) and reading all of it allocates less than one page.
+func TestNewStoreAllocatesOnlyPageTable(t *testing.T) {
+	const size = 512 << 10
+	var buf [32]byte
+	const runs = 8
+	n := heapBytes(func() {
+		for r := 0; r < runs; r++ {
+			s := NewStore(0, size)
+			for o := uint32(0); o < size-16; o += 16 {
+				s.Read(o+13, 4) // crosses a page boundary every 256th time
+				s.PeekInto(buf[:], o)
+				s.Equal(o, buf[:16])
+			}
+			storeSink = s
+		}
+	}) / runs
+	if n >= pageSize {
+		t.Fatalf("a new 512 KiB store and its reads allocate %d bytes, want < %d", n, pageSize)
+	}
+	if allocatedPages(storeSink) != 0 {
+		t.Fatal("reads allocated a page")
+	}
+}
+
+// TestZeroWritesAllocateNoPage: zero bytes poked, filled or restored into
+// unwritten pages leave them unallocated, yet still advance the
+// generation; a non-zero byte allocates exactly its page.
+func TestZeroWritesAllocateNoPage(t *testing.T) {
+	const size = 16 * pageSize
+	s := NewStore(0, size)
+	s.Poke(pageSize-8, make([]byte, 3*pageSize))
+	s.Fill(5*pageSize+1, 2*pageSize, 0)
+	s.Restore(make([]byte, size))
+	if n := allocatedPages(s); n != 0 {
+		t.Fatalf("zero Poke/Fill/Restore allocated %d pages, want 0", n)
+	}
+	if s.Gen() != 3 {
+		t.Fatalf("Gen = %d after three writes, want 3", s.Gen())
+	}
+
+	s.Poke(7*pageSize-1, []byte{0, 0, 9, 0}) // the zero byte stays in an unwritten page
+	if n := allocatedPages(s); n != 1 || s.pages[7] == nil {
+		t.Fatalf("a poke with one non-zero byte allocated %d pages, want page 7 only", n)
+	}
+	s.Fill(10*pageSize-2, 4, 0xEE)
+	if n := allocatedPages(s); n != 3 {
+		t.Fatalf("a non-zero fill across a page boundary left %d pages, want 3", n)
+	}
+
+	// A replayed snapshot allocates only the pages holding data.
+	img := make([]byte, size)
+	img[3*pageSize] = 1
+	img[12*pageSize-1] = 2
+	r := NewStore(0, size)
+	r.Restore(img)
+	if n := allocatedPages(r); n != 2 {
+		t.Fatalf("restoring an image with data in 2 pages allocated %d pages", n)
+	}
+	if !bytes.Equal(r.Snapshot(), img) {
+		t.Fatal("restored contents differ from the image")
+	}
 }

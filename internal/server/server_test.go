@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/campaign"
+	"repro/internal/faultpoint"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 )
@@ -376,8 +377,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // request context, shard workers drain, the job lands canceled, and no
 // goroutines leak.
 func TestDisconnectCancelsWorkers(t *testing.T) {
+	t.Cleanup(faultpoint.Disarm)
 	s, ts := newTestServer(t, Config{Workers: 2})
 	baseline := runtime.NumGoroutine() + 3 // tolerate runtime/transport churn
+	// The job's records fit in the socket buffers, and its 24 small runs
+	// can all finish before the server sees the client go, landing the
+	// job done. So the 24th shard attempt stalls until the job is
+	// canceled. It comes after the first record: the pipeline dispatches
+	// at most 2 x workers points ahead of the next record it streams.
+	if err := faultpoint.Arm("server.shard=stall:1m@24"); err != nil {
+		t.Fatal(err)
+	}
 
 	st := submit(t, ts, sweepSpecJSON(t), "?workers=2")
 	ctx, cancel := context.WithCancel(context.Background())
