@@ -1,6 +1,6 @@
 # Tier-1 gate, CI pipeline and benchmark smoke for the repro module.
 #
-#   make verify       # gofmt, vet, build, full tests, race tests on the hot packages
+#   make verify       # gofmt, vet (host and arm64), build, full tests, race tests on the hot packages
 #   make modelcheck   # prove invariants (a)-(d) over the bounded policy+reactor model
 #   make staticcheck  # determinism lint: map-range / wallclock / goroutine hazards in internal/...
 #   make determinism  # sweep + attack campaign twice (different worker counts) + shard/merge, fail on any byte diff
@@ -58,8 +58,12 @@ fmt:
 		echo "gofmt required on:"; echo "$$out"; exit 1; \
 	fi
 
+# The second vet builds for arm64, where internal/aes has no assembly: it
+# keeps the portable T-table path (and every per-GOARCH file pair)
+# compiling and vetted on an amd64 host.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...

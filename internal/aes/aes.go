@@ -11,13 +11,22 @@
 //
 // Host-side speed matters independently of the modeled cycles: the
 // simulator executes one real AES per modeled CC operation and one per
-// Davies–Meyer step of the Integrity Core, so the round function is
-// implemented with the standard T-table formulation (four 256-entry tables
-// merging SubBytes, ShiftRows and MixColumns per column) and key schedules
-// live in caller-provided fixed arrays (Schedule / InvSchedule) so hashing
-// with a fresh key per block — the IC's access pattern — allocates nothing.
-// None of this changes any simulated-cycle accounting, which comes solely
-// from the Timing descriptors.
+// Davies–Meyer step of the Integrity Core. The one FIPS-197 function has
+// two implementations, chosen once at init:
+//
+//   - on amd64 CPUs with AES-NI and SSSE3 (CPUID), AESENC/AESDEC kernels
+//     (aes_amd64.s) run the rounds over the same word-order schedules,
+//     byte-swapping each round key as they load it;
+//   - everywhere else, the standard T-table formulation (four 256-entry
+//     tables merging SubBytes, ShiftRows and MixColumns per column), which
+//     is also the reference the tests compare the kernels against, next to
+//     crypto/aes.
+//
+// Key schedules live in caller-provided fixed arrays (Schedule /
+// InvSchedule), and DaviesMeyer — the IC's compression step, with a fresh
+// key per block — expands its key on the fly, so neither path allocates.
+// Which path runs changes no output byte and no simulated-cycle
+// accounting, which comes solely from the Timing descriptors.
 package aes
 
 import "fmt"
@@ -127,8 +136,9 @@ func gmul(a, b byte) byte {
 
 // Schedule is an expanded AES-128 encryption key. The zero value is not a
 // valid schedule; call Expand first. It lives wherever the caller puts it —
-// on the stack, embedded in a struct — so per-block rekeying (the Integrity
-// Core's Davies–Meyer compression) costs no heap allocation.
+// on the stack, embedded in a struct — so rekeying costs no heap
+// allocation. Both paths read the same words: the AES-NI kernels byte-swap
+// them into round keys as they load them.
 type Schedule struct {
 	rk [nrk]uint32 // round keys, big-endian words as in FIPS-197
 }
@@ -141,8 +151,9 @@ var rcon = [rounds]uint32{
 }
 
 // Expand fills the schedule from a 16-byte key. It runs the 10 rounds of
-// the FIPS-197 expansion over four running words: the Integrity Core
-// re-keys on every Davies–Meyer step, so this loop is on its hot path.
+// the FIPS-197 expansion over four running words: on the T-table path the
+// Integrity Core re-keys on every Davies–Meyer step, so this loop is on
+// its hot path there.
 func (s *Schedule) Expand(key *[16]byte) {
 	w0 := uint32(key[0])<<24 | uint32(key[1])<<16 | uint32(key[2])<<8 | uint32(key[3])
 	w1 := uint32(key[4])<<24 | uint32(key[5])<<16 | uint32(key[6])<<8 | uint32(key[7])
@@ -161,7 +172,15 @@ func (s *Schedule) Expand(key *[16]byte) {
 
 // Encrypt enciphers one block; dst and src may be the same array.
 func (s *Schedule) Encrypt(dst, src *[16]byte) {
-	rk := &s.rk
+	if useAsm {
+		encryptAsm(&s.rk, dst, src)
+		return
+	}
+	encryptGeneric(&s.rk, dst, src)
+}
+
+// encryptGeneric is the T-table encryption under the round keys rk.
+func encryptGeneric(rk *[nrk]uint32, dst, src *[16]byte) {
 	s0 := uint32(src[0])<<24 | uint32(src[1])<<16 | uint32(src[2])<<8 | uint32(src[3])
 	s1 := uint32(src[4])<<24 | uint32(src[5])<<16 | uint32(src[6])<<8 | uint32(src[7])
 	s2 := uint32(src[8])<<24 | uint32(src[9])<<16 | uint32(src[10])<<8 | uint32(src[11])
@@ -197,7 +216,8 @@ func (s *Schedule) Encrypt(dst, src *[16]byte) {
 // InvSchedule is an expanded AES-128 decryption key (the "equivalent
 // inverse cipher" of FIPS-197 §5.3.5: encryption round keys reversed, with
 // InvMixColumns applied to the middle rounds so the decryption round can
-// use the same table-merged formulation as encryption).
+// use the same table-merged formulation as encryption). These are exactly
+// the round keys AESDEC takes, so the AES-NI path reads them as they are.
 type InvSchedule struct {
 	rk [nrk]uint32
 }
@@ -220,7 +240,16 @@ func (s *InvSchedule) Expand(enc *Schedule) {
 
 // Decrypt deciphers one block; dst and src may be the same array.
 func (s *InvSchedule) Decrypt(dst, src *[16]byte) {
-	rk := &s.rk
+	if useAsm {
+		decryptAsm(&s.rk, dst, src)
+		return
+	}
+	decryptGeneric(&s.rk, dst, src)
+}
+
+// decryptGeneric is the T-table decryption under the equivalent-inverse
+// round keys rk.
+func decryptGeneric(rk *[nrk]uint32, dst, src *[16]byte) {
 	s0 := uint32(src[0])<<24 | uint32(src[1])<<16 | uint32(src[2])<<8 | uint32(src[3])
 	s1 := uint32(src[4])<<24 | uint32(src[5])<<16 | uint32(src[6])<<8 | uint32(src[7])
 	s2 := uint32(src[8])<<24 | uint32(src[9])<<16 | uint32(src[10])<<8 | uint32(src[11])
@@ -250,6 +279,28 @@ func (s *InvSchedule) Decrypt(dst, src *[16]byte) {
 	putWord(dst, 4, o1)
 	putWord(dst, 8, o2)
 	putWord(dst, 12, o3)
+}
+
+// DaviesMeyer is one Davies–Meyer compression step over AES-128, the
+// Integrity Core's hash: it returns AES_key(block) xor block. The key is
+// expanded as the rounds run, so the step needs no Schedule.
+func DaviesMeyer(key, block *[16]byte) (out [16]byte) {
+	if useAsm {
+		daviesMeyerAsm(&out, key, block)
+		return out
+	}
+	return daviesMeyerGeneric(key, block)
+}
+
+// daviesMeyerGeneric is DaviesMeyer on the T-table path.
+func daviesMeyerGeneric(key, block *[16]byte) (out [16]byte) {
+	var ks Schedule
+	ks.Expand(key)
+	encryptGeneric(&ks.rk, &out, block)
+	for i := range out {
+		out[i] ^= block[i]
+	}
+	return out
 }
 
 func putWord(dst *[16]byte, i int, w uint32) {

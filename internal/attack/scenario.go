@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bus"
+	"repro/internal/mem"
 	"repro/internal/soc"
 	"repro/internal/workload"
 )
@@ -223,7 +224,7 @@ func (t *tamperScenario) Verify(s *soc.System, _ float64) Verdict {
 // credit).
 type replayScenario struct {
 	externalProbe
-	snap []byte
+	snap *mem.Image
 }
 
 func (*replayScenario) Name() string { return "replay" }

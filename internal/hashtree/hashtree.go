@@ -25,17 +25,23 @@
 //
 // Host-side cost discipline: one modeled node check is a handful of
 // Davies–Meyer steps, each of which re-keys AES with the chaining value.
-// The tree therefore hashes through stack-resident aes.Schedule values
-// (zero heap traffic), copies leaf data and node digests into stack
-// arrays (mem.Store.PeekInto), walks paths in fixed-size arrays, and keeps
-// the verified-node cache in slice-indexed arrays with a FIFO ring instead
-// of a map. Leaf and internal-node digests use fixed-length, domain-
-// separated compression chains (leafIV/nodeIV), so no length block is
-// needed on the hot path, and the first step of each is keyed by a
-// schedule expanded once; the general Hash remains for variable-length
-// callers. Build, which every secured platform runs at boot over the same
-// image, is memoised per process. None of this affects modeled IC cycles,
-// which derive only from the returned node-operation counts.
+// Every step is one call of aes.DaviesMeyer, which expands the key as the
+// rounds run (on AES-NI where the CPU has it) and needs no schedule, so
+// hashing allocates nothing; the tree copies leaf data and node digests
+// into stack arrays (mem.Store.PeekInto), walks paths in fixed-size
+// arrays, and keeps the verified-node cache in slice-indexed arrays with a
+// FIFO ring instead of a map. Leaf and internal-node digests use
+// fixed-length, domain-separated compression chains (leafIV/nodeIV), so no
+// length block is needed on the hot path; the general Hash remains for
+// variable-length callers. With no schedule to reuse, the first step of a
+// digest expands its fixed IV like any other key: on CPUs without AES-NI
+// that costs one extra T-table key expansion per digest, which made
+// BenchmarkBuildCold 13-16% and the root BenchmarkSecureMemoryThroughput
+// 10-21% slower than with IV schedules expanded once (T-table path forced
+// on a 2-vCPU Xeon, two passes of five alternating runs). Build, which
+// every secured platform runs at boot over the same image, is memoised
+// per process. None of this affects modeled IC cycles, which derive only
+// from the returned node-operation counts.
 package hashtree
 
 import (
@@ -76,46 +82,20 @@ var (
 	nodeIV = Digest{0x52, 0x45, 0x50, 0x52, 0x4f, 0x2d, 0x49, 0x43, 0x2d, 0x4e, 0x4f, 0x44, 0x45, 0x30, 0x31, 0x00}
 )
 
-// leafKS and nodeKS are leafIV and nodeIV expanded once: the first step of
-// every leaf and node digest is keyed by a fixed IV. Read-only after init.
-var leafKS, nodeKS = expanded(leafIV), expanded(nodeIV)
-
-func expanded(chain Digest) *aes.Schedule {
-	ks := new(aes.Schedule)
-	ks.Expand((*[16]byte)(&chain))
-	return ks
-}
-
-// compress is one Davies–Meyer step through a caller-provided schedule:
-// chain' = AES_chain(block) xor block. The schedule is scratch space; it is
-// re-expanded from the chaining value on every step.
-func compress(ks *aes.Schedule, chain Digest, block *[16]byte) Digest {
-	ks.Expand((*[16]byte)(&chain))
-	return compressKeyed(ks, block)
-}
-
-// compressKeyed is the Davies–Meyer step under a schedule already expanded
-// from the chaining value.
-func compressKeyed(ks *aes.Schedule, block *[16]byte) Digest {
-	var out Digest
-	ks.Encrypt((*[16]byte)(&out), block)
-	for i := range out {
-		out[i] ^= block[i]
-	}
-	return out
+// compress is one Davies–Meyer step: chain' = AES_chain(block) xor block.
+func compress(chain *Digest, block *[16]byte) Digest {
+	return aes.DaviesMeyer((*[16]byte)(chain), block)
 }
 
 // Compress is one Davies–Meyer step: AES_chain(block) xor block.
 func Compress(chain Digest, block [16]byte) Digest {
-	var ks aes.Schedule
-	return compress(&ks, chain, &block)
+	return compress(&chain, &block)
 }
 
 // Hash absorbs the concatenation of the given byte slices in 16-byte
 // blocks (zero-padded) and finishes with a length block, Merkle–Damgård
 // style.
 func Hash(parts ...[]byte) Digest {
-	var ks aes.Schedule
 	h := iv
 	var block [16]byte
 	fill := 0
@@ -127,42 +107,40 @@ func Hash(parts ...[]byte) Digest {
 			fill += n
 			p = p[n:]
 			if fill == 16 {
-				h = compress(&ks, h, &block)
+				h = compress(&h, &block)
 				fill = 0
 				block = [16]byte{}
 			}
 		}
 	}
 	if fill > 0 {
-		h = compress(&ks, h, &block)
+		h = compress(&h, &block)
 		block = [16]byte{}
 	}
 	// Length block defeats trivial concatenation ambiguity.
 	for i := 0; i < 8; i++ {
 		block[i] = byte(total >> (8 * i))
 	}
-	return compress(&ks, h, &block)
+	return compress(&h, &block)
 }
 
 // hashLeaf computes the fixed-length leaf digest: three compression steps
 // over the 32 data bytes and the address/version binding block.
 func hashLeaf(data []byte, addr, version uint32) Digest {
 	_ = data[LeafSize-1]
-	var ks aes.Schedule
-	h := compressKeyed(leafKS, (*[16]byte)(data[0:16]))
-	h = compress(&ks, h, (*[16]byte)(data[16:32]))
+	h := compress(&leafIV, (*[16]byte)(data[0:16]))
+	h = compress(&h, (*[16]byte)(data[16:32]))
 	var meta [16]byte
 	putU32(meta[0:], addr)
 	putU32(meta[4:], version)
-	return compress(&ks, h, &meta)
+	return compress(&h, &meta)
 }
 
 // hashNode computes the fixed-length internal-node digest from the two
 // child digests: two compression steps.
 func hashNode(l, r *Digest) Digest {
-	var ks aes.Schedule
-	h := compressKeyed(nodeKS, (*[16]byte)(l))
-	return compress(&ks, h, (*[16]byte)(r))
+	h := compress(&nodeIV, (*[16]byte)(l))
+	return compress(&h, (*[16]byte)(r))
 }
 
 // Config parameterizes a Tree.

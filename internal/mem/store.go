@@ -188,12 +188,6 @@ func (s *Store) Equal(addr uint32, b []byte) bool {
 func (s *Store) Poke(addr uint32, b []byte) {
 	o := s.offset(addr, len(b))
 	s.gen++
-	s.copyIn(o, b)
-}
-
-// copyIn writes b at offset o, leaving an unwritten page unallocated when
-// its part of b is all zeros.
-func (s *Store) copyIn(o int, b []byte) {
 	for len(b) > 0 {
 		in := o & pageMask
 		k := min(len(b), pageSize-in)
@@ -222,23 +216,53 @@ func (s *Store) Fill(addr uint32, n int, v byte) {
 	}
 }
 
-// Snapshot returns a copy of the full contents (attack replay support).
-func (s *Store) Snapshot() []byte {
-	out := make([]byte, s.size)
-	for i, p := range s.pages {
-		if p != nil {
-			copy(out[i*pageSize:], p[:])
-		}
-	}
-	return out
+// Image is a saved copy of a Store's contents, taken by Snapshot: a
+// private copy of each page the store had allocated, nil for the pages it
+// had not.
+type Image struct {
+	size  uint32
+	pages []*[pageSize]byte
 }
 
-// Restore overwrites the full contents from a snapshot taken earlier.
-// Pages the snapshot holds only zeros for stay unallocated if they were.
-func (s *Store) Restore(b []byte) {
-	if len(b) != int(s.size) {
-		panic(fmt.Sprintf("mem: restore size %d != store size %d", len(b), s.size))
+// Snapshot saves the contents (attack replay support). It copies only the
+// allocated pages, in one allocation.
+func (s *Store) Snapshot() *Image {
+	img := &Image{size: s.size, pages: make([]*[pageSize]byte, len(s.pages))}
+	n := 0
+	for _, p := range s.pages {
+		if p != nil {
+			n++
+		}
+	}
+	copies := make([][pageSize]byte, n)
+	for i, p := range s.pages {
+		if p != nil {
+			copies[0] = *p
+			img.pages[i], copies = &copies[0], copies[1:]
+		}
+	}
+	return img
+}
+
+// Restore overwrites the full contents with an image of a store of the
+// same size. It copies the image's pages into the store's own pages,
+// allocating only those the store lacks, and drops the pages the image
+// does not hold, which therefore read as zeros again. The store never
+// aliases the image, so an image can be restored any number of times.
+func (s *Store) Restore(img *Image) {
+	if img.size != s.size {
+		panic(fmt.Sprintf("mem: restore size %d != store size %d", img.size, s.size))
 	}
 	s.gen++
-	s.copyIn(0, b)
+	for i, p := range img.pages {
+		switch {
+		case p == nil:
+			s.pages[i] = nil
+		case s.pages[i] == nil:
+			c := *p
+			s.pages[i] = &c
+		default:
+			*s.pages[i] = *p
+		}
+	}
 }

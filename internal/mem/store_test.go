@@ -189,6 +189,14 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 		}
 		return b
 	}
+	// saved is a snapshot and the contents it was taken of. Snapshots
+	// outlive the store they came from: any image of a same-size store
+	// restores.
+	type saved struct {
+		img  *Image
+		want []byte
+	}
+	var snaps []saved
 	got := make([]byte, size)
 	for step := 0; step < 3000; step++ {
 		if step%300 == 0 {
@@ -255,21 +263,15 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 			if s.Equal(base+uint32(o), b) {
 				t.Fatalf("step %d: Equal(+%#x, %d) = true on a changed byte", step, o, n)
 			}
-		case 6: // Snapshot
-			if !bytes.Equal(s.Snapshot(), ref) {
-				t.Fatalf("step %d: Snapshot differs", step)
+		case 6: // Snapshot, remembering the contents it must bring back
+			snaps = append(snaps, saved{s.Snapshot(), bytes.Clone(ref)})
+		case 7: // Restore an earlier snapshot (perhaps again) or an empty one
+			sv := saved{NewStore(base, size).Snapshot(), make([]byte, size)}
+			if len(snaps) > 0 && rng.IntN(4) != 0 {
+				sv = snaps[rng.IntN(len(snaps))]
 			}
-		case 7: // Restore a snapshot, a zeroed image or a sparse one
-			img := make([]byte, size)
-			switch rng.IntN(3) {
-			case 0:
-				copy(img, ref)
-				img[rng.IntN(size)]++
-			case 1:
-				img[rng.IntN(size)] = 0xA5
-			}
-			s.Restore(img)
-			copy(ref, img)
+			s.Restore(sv.img)
+			copy(ref, sv.want)
 			gen++
 		case 8: // a full-width read at the very end of a page
 			o := rng.IntN(size/pageSize)*pageSize + pageSize - 1 - rng.IntN(3)
@@ -342,7 +344,7 @@ func TestZeroWritesAllocateNoPage(t *testing.T) {
 	s := NewStore(0, size)
 	s.Poke(pageSize-8, make([]byte, 3*pageSize))
 	s.Fill(5*pageSize+1, 2*pageSize, 0)
-	s.Restore(make([]byte, size))
+	s.Restore(NewStore(0, size).Snapshot())
 	if n := allocatedPages(s); n != 0 {
 		t.Fatalf("zero Poke/Fill/Restore allocated %d pages, want 0", n)
 	}
@@ -360,15 +362,68 @@ func TestZeroWritesAllocateNoPage(t *testing.T) {
 	}
 
 	// A replayed snapshot allocates only the pages holding data.
-	img := make([]byte, size)
-	img[3*pageSize] = 1
-	img[12*pageSize-1] = 2
+	d := NewStore(0, size)
+	d.Write(3*pageSize, 1, 1)
+	d.Write(12*pageSize-1, 1, 2)
 	r := NewStore(0, size)
-	r.Restore(img)
+	r.Restore(d.Snapshot())
 	if n := allocatedPages(r); n != 2 {
 		t.Fatalf("restoring an image with data in 2 pages allocated %d pages", n)
 	}
-	if !bytes.Equal(r.Snapshot(), img) {
+	if !bytes.Equal(r.Peek(0, size), d.Peek(0, size)) {
 		t.Fatal("restored contents differ from the image")
 	}
+}
+
+// TestSnapshotIsSparseAndPrivate: a snapshot copies only the allocated
+// pages; restoring it copies them back into the store's own pages, drops
+// the pages written since, advances the generation once, and leaves the
+// image unaliased, so writes after a restore do not reach it.
+func TestSnapshotIsSparseAndPrivate(t *testing.T) {
+	const size = 128 * pageSize // 512 KiB, the DDR's size
+	s := NewStore(0, size)
+	s.Fill(10*pageSize, 2*pageSize, 0x5A) // pages 10 and 11
+	s.WriteWord(100*pageSize+8, 0xC0DE)   // page 100
+	want := s.Peek(0, size)
+	var img *Image
+	if n := heapBytes(func() { img = s.Snapshot() }); n >= 4*pageSize {
+		t.Fatalf("snapshot of 3 allocated pages allocated %d bytes, want < %d", n, 4*pageSize)
+	}
+
+	s.WriteWord(10*pageSize, 0xFFFF_FFFF) // a page the image holds
+	s.WriteWord(50*pageSize, 1)           // a page it does not
+	gen := s.Gen()
+	if n := heapBytes(func() { s.Restore(img) }); n != 0 {
+		t.Fatalf("restoring into the store's own pages allocated %d bytes", n)
+	}
+	if s.Gen() != gen+1 {
+		t.Fatalf("Gen advanced by %d on Restore, want 1", s.Gen()-gen)
+	}
+	if !bytes.Equal(s.Peek(0, size), want) {
+		t.Fatal("restored contents differ from the snapshot")
+	}
+	if s.pages[50] != nil || allocatedPages(s) != 3 {
+		t.Fatalf("restore left %d pages allocated (page 50: %v), want the image's 3", allocatedPages(s), s.pages[50] != nil)
+	}
+	for i, p := range img.pages {
+		if p != nil && p == s.pages[i] {
+			t.Fatalf("page %d of the store aliases the image", i)
+		}
+	}
+
+	s.WriteWord(11*pageSize, 0xDEAD_BEEF)
+	s.Restore(img)
+	if !bytes.Equal(s.Peek(0, size), want) {
+		t.Fatal("a write after a restore reached the image")
+	}
+}
+
+func TestRestoreSizeMismatchPanics(t *testing.T) {
+	img := NewStore(0, 2*pageSize).Snapshot()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("restoring a snapshot of a different size did not panic")
+		}
+	}()
+	NewStore(0, pageSize).Restore(img)
 }

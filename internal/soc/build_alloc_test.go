@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/soc"
 )
 
@@ -28,3 +29,35 @@ func TestPairBuildAllocation(t *testing.T) {
 		t.Fatalf("a distributed pair allocates %d KiB, want < 512", per>>10)
 	}
 }
+
+// TestDDRSnapshotAllocation: the replay attack's snapshot of a distributed
+// platform's external memory copies only the pages the platform has
+// written — its sealed zones and tree nodes — not the DDR's 512 KiB, and
+// restoring it into the same platform allocates nothing.
+func TestDDRSnapshotAllocation(t *testing.T) {
+	s, err := soc.New(soc.Config{Protection: soc.Distributed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.DDR.Store()
+	st.Restore(st.Snapshot())
+	const runs = 8
+	var before, mid, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		snapSink = st.Snapshot()
+	}
+	runtime.ReadMemStats(&mid)
+	for i := 0; i < runs; i++ {
+		st.Restore(snapSink)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (mid.TotalAlloc - before.TotalAlloc) / runs; per >= soc.DDRSize/4 {
+		t.Fatalf("a DDR snapshot allocates %d KiB, want < %d", per>>10, soc.DDRSize/4>>10)
+	}
+	if n := after.TotalAlloc - mid.TotalAlloc; n != 0 {
+		t.Fatalf("restoring a DDR snapshot allocated %d bytes, want 0", n)
+	}
+}
+
+var snapSink *mem.Image

@@ -33,7 +33,7 @@ func TestConcurrentPairBuildsIdentical(t *testing.T) {
 			t.Fatalf("pair %d: %v", i, errs[i])
 		}
 		for _, s := range []*soc.System{p.Attacked, p.Twin} {
-			img := s.DDR.Store().Snapshot()
+			img := s.DDR.Store().Peek(soc.DDRBase, soc.DDRSize)
 			if want == nil {
 				want = img
 				if bytes.Equal(img[soc.CipherBase-soc.DDRBase:][:64], make([]byte, 64)) {

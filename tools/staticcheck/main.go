@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -229,7 +230,10 @@ func (a *analyzer) Import(path string) (*types.Package, error) {
 	return a.std.Import(path)
 }
 
-// parseDir parses the non-test Go files of one directory, sorted by name.
+// parseDir parses the non-test Go files of one directory that the build
+// for this host's GOOS/GOARCH includes, sorted by name: a package with an
+// _amd64.go file and a !amd64 counterpart declares their symbols twice
+// across the two, once per build.
 func (a *analyzer) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -239,6 +243,11 @@ func (a *analyzer) parseDir(dir string) ([]*ast.File, error) {
 	for _, e := range ents { // ReadDir sorts by name
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(a.fset, filepath.Join(dir, name), nil, 0)

@@ -223,6 +223,48 @@ func Start() { hostobs.Note("up") }
 	}
 }
 
+// TestBuildConstraints: a package that splits an implementation across an
+// _amd64.go file (with a body-less stub, as for an assembly function) and
+// a !amd64 counterpart declares their symbols once per build, so only the
+// files this host's build includes may be typechecked together.
+func TestBuildConstraints(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/k/k.go": `package k
+
+// Sum dispatches to the kernel the build provides.
+func Sum(b []byte) int {
+	if useAsm {
+		return sumAsm(b)
+	}
+	n := 0
+	for _, c := range b {
+		n += int(c)
+	}
+	return n
+}
+`,
+		"internal/k/k_amd64.go": `package k
+
+var useAsm = true
+
+//go:noescape
+func sumAsm(b []byte) int
+`,
+		"internal/k/k_other.go": `//go:build !amd64
+
+package k
+
+var useAsm = false
+
+func sumAsm(b []byte) int { return 0 }
+`,
+	})
+	code, out := runOn(t, root)
+	if code != 0 {
+		t.Fatalf("per-GOARCH files typechecked together (code %d):\n%s", code, out)
+	}
+}
+
 // TestRepoIsClean runs the real gate over this repository: every hazard
 // in internal/... must be justified in the committed allowlist. This is
 // the same invariant `make staticcheck` enforces in CI.
