@@ -198,12 +198,13 @@ attack:
 		-attack-backgrounds stream,secure-scrub,cipher-mix \
 		-accesses 512 -recovery -recovery-clear-delay 8000
 
-# The repository-level benchmarks of the suite: the engine (busy and
-# stall-heavy), the secured memory path and the per-record platform build.
-BENCH_TOP := BenchmarkEngineThroughput|BenchmarkEngineSecureThroughput|BenchmarkSecureMemoryThroughput|BenchmarkPlatformBuild
+# The repository-level benchmarks of the suite: the engine (busy,
+# stall-heavy, and one busy core beside two stalled ones), the secured
+# memory path and the per-record platform build.
+BENCH_TOP := BenchmarkEngineThroughput|BenchmarkEngineSecureThroughput|BenchmarkEngineMixedThroughput|BenchmarkSecureMemoryThroughput|BenchmarkPlatformBuild
 
 # bench-smoke: short end-to-end benchmarks so regressions on the engine
-# (busy and stall-heavy), the secured memory path and the platform build
+# (busy, stall-heavy and mixed), the secured memory path and the platform build
 # surface in CI logs (the crypto-stack microbenchmarks ride along from
 # internal/hashtree).
 bench-smoke:

@@ -391,6 +391,36 @@ func BenchmarkEngineSecureThroughput(b *testing.B) {
 	b.ReportMetric(float64(s.Eng.Elided()-elided)/float64(cycles), "elided-share")
 }
 
+// BenchmarkEngineMixedThroughput is the shape external-memory campaigns
+// have: one core computes on BRAM while the two others scrub their slices
+// of the CM+IM zone. Each secured access holds the bus for the LCF
+// pipeline's ~1,000 cycles, so the computing core queues behind the
+// scrubbers too and most cycles are skipped; on most of the cycles that are
+// stepped, the computing core is the only ticker due.
+func BenchmarkEngineMixedThroughput(b *testing.B) {
+	const slice = soc.SecureSize / 4
+	s := soc.MustNew(soc.Config{Protection: soc.Distributed})
+	s.MustLoad(0, workload.Mix(soc.BRAMBase, 0x1000, 4, 1_000_000, 4))
+	progs := make([]*isa.Program, 3)
+	for i := 1; i < 3; i++ {
+		progs[i] = isa.MustAssemble(workload.Scrub(soc.SecureBase+uint32(i)*slice, slice/4, 4), soc.LocalBase)
+		s.LoadProgram(i, progs[i])
+	}
+	start, elided := s.Eng.Now(), s.Eng.Elided()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Eng.Run(1000)
+		for c := 1; c < 3; c++ {
+			if h, _ := s.Cores[c].Halted(); h {
+				s.LoadProgram(c, progs[c]) // scrub the slice again
+			}
+		}
+	}
+	cycles := s.Eng.Now() - start
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
+	b.ReportMetric(float64(s.Eng.Elided()-elided)/float64(cycles), "elided-share")
+}
+
 // BenchmarkPlatformBuild measures the fixed cost every campaign record
 // pays before simulating anything: soc.NewPair, the attacked platform and
 // its twin, for each protection. On the distributed pair it includes the

@@ -19,18 +19,19 @@
 //
 // # Simulation hot path
 //
-// The engine's event queue is a bucketed calendar queue: a ring of
-// per-cycle event slices covers the near future and a binary heap absorbs
-// far-future events, with a strict determinism contract — same-cycle
-// events fire in schedule order even across the ring/heap boundary (the
-// argument is spelled out in internal/sim's package comment). Hot
-// components (CPU cores, the DMA engine, the bus completion path and the
-// Local Firewalls) schedule through pre-bound callbacks and reuse their
-// transaction buffers, so steady-state simulation performs zero heap
-// allocations per cycle; BenchmarkEngineThroughput -benchmem tracks both
-// the cycle rate and the allocation count, and
-// BenchmarkEngineSecureThroughput does the same for a stall-heavy platform
-// whose quiescent cycles the engine skips (see below).
+// The engine keeps its pending events in one small binary heap ordered by
+// (cycle, schedule sequence), so same-cycle events fire in schedule order
+// by construction, and it ticks only the tickers that are due: cores, the
+// bus and the DMA engine tell it when they wake and sleep (internal/sim's
+// package comment states the rules). Hot components (CPU cores, the DMA
+// engine, the bus completion path and the Local Firewalls) schedule
+// through pre-bound callbacks and reuse their transaction buffers, so
+// steady-state simulation performs zero heap allocations per cycle;
+// BenchmarkEngineThroughput -benchmem tracks both the cycle rate and the
+// allocation count, BenchmarkEngineSecureThroughput does the same for a
+// stall-heavy platform whose quiescent cycles the engine skips (see
+// below), and BenchmarkEngineMixedThroughput for one busy core beside two
+// stalled ones.
 //
 // # Host speed vs simulated cycles
 //
@@ -57,12 +58,14 @@
 // The same rule lets the engine skip quiescent cycles. A core stalled on a
 // secured word waits ~1,050-1,100 cycles for the LCF pipeline, and on
 // external-memory campaigns 97.6% of all core cycles are such stalls.
-// Cores, the bus and the DMA engine implement sim.Sleeper; when all of
-// them sleep and no event is due, Run and RunUntil jump the clock to the
-// next event, wake-up or budget end and credit the elided cycles to the
-// stalled cores' counters in bulk. internal/campaign's equivalence test
+// Cores, the bus and the DMA engine tell the engine when they are due;
+// when none is and no event is due either, Run and RunUntil jump the clock
+// to the next event, due cycle or budget end. A core counts its cycles and
+// stall cycles as intervals opened and closed on its own transitions, so
+// a skipped cycle needs no credit. internal/campaign's equivalence test
 // runs every scenario x protection x background point, with and without
-// staged recovery, both skipping and stepping every cycle, and requires
+// staged recovery, both skipping and on the per-cycle reference, which
+// ticks every ticker on every cycle, and requires
 // byte-identical records and traces. On a 2-vCPU Xeon @ 2.1 GHz the
 // stall-heavy BenchmarkEngineSecureThroughput went from 40-54 to 9.5-13
 // µs per 1000 simulated cycles (99% of them elided),

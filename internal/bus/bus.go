@@ -63,11 +63,13 @@ func (s *Stats) Utilization(totalCycles uint64) float64 {
 }
 
 // Bus is the shared system interconnect. It is a sim.Ticker: each cycle it
-// arbitrates at most one pending transaction if idle. Create with New, add
-// slaves with AddSlave, create master ports with NewMaster, then register
-// on the engine (New does this automatically).
+// arbitrates at most one pending transaction if idle. It is due only while
+// requests wait, from the cycle its current transfer ends. Create with New,
+// add slaves with AddSlave, create master ports with NewMaster, then
+// register on the engine (New does this automatically).
 type Bus struct {
 	eng  *sim.Engine
+	id   int // ticker id on eng
 	cfg  Config
 	name string
 
@@ -97,7 +99,7 @@ func New(eng *sim.Engine, cfg Config) *Bus {
 		cfg.DecodeErrCycles = 2
 	}
 	b := &Bus{eng: eng, cfg: cfg, name: cfg.Name, lastGrant: -1}
-	eng.AddTicker(b)
+	b.id = eng.AddTicker(b)
 	return b
 }
 
@@ -201,11 +203,15 @@ func (p *MasterPort) Submit(tx *Transaction, done func(*Transaction)) {
 		}
 	}
 	p.queue = append(p.queue, tx)
+	if p.bus.waiting == 0 {
+		p.bus.eng.WakeAt(p.bus.id, p.bus.busyUntil)
+	}
 	p.bus.waiting++
 }
 
 // Tick implements sim.Ticker: grant at most one transaction per cycle when
-// idle.
+// idle. After a grant the bus is next due when the transfer ends if
+// requests still wait, and sleeps until the next Submit otherwise.
 func (b *Bus) Tick(now uint64) {
 	if now < b.busyUntil {
 		return
@@ -240,25 +246,13 @@ func (b *Bus) Tick(now uint64) {
 	b.busyUntil = now + total
 	b.stats.BusyCycles += total
 	b.stats.PerMaster[m.index]++
+	if b.waiting > 0 {
+		b.eng.WakeAt(b.id, b.busyUntil)
+	} else {
+		b.eng.Sleep(b.id)
+	}
 	b.complete(tx, total)
 }
-
-// NextTick implements sim.Sleeper: with requests queued the bus next
-// grants when its current transfer ends; with none, only a Submit (from an
-// event or another ticker) gives it work.
-func (b *Bus) NextTick(now uint64) uint64 {
-	if b.waiting == 0 {
-		return sim.Never
-	}
-	if now < b.busyUntil {
-		return b.busyUntil
-	}
-	return now
-}
-
-// Skip implements sim.Sleeper: an idle or occupied bus counts nothing per
-// cycle.
-func (b *Bus) Skip(uint64) {}
 
 // pick selects the next master with pending work according to the
 // arbitration policy.

@@ -12,9 +12,10 @@ import (
 	"repro/internal/soc"
 )
 
-// perCyclePair builds the twin pair with a no-op plain ticker on both
-// engines. A ticker that cannot sleep turns cycle skipping off, so the
-// pair steps every cycle: the reference the skipping engine must match.
+// perCyclePair builds the twin pair with a no-op TickFunc on both engines.
+// A TickFunc turns cycle skipping off and makes the engine tick every
+// ticker on every cycle, due or asleep, so the pair steps every cycle with
+// full per-cycle semantics: the reference the skipping engine must match.
 func perCyclePair(cfg soc.Config) (*soc.Pair, error) {
 	p, err := soc.NewPair(cfg)
 	if err != nil {
@@ -45,8 +46,8 @@ func runEncoded(t *testing.T, cfg Config, newPair func(soc.Config) (*soc.Pair, e
 
 // equivalenceGrid is every scenario against every protection under no,
 // internal and external-memory background load, with recovery off and
-// with staged recovery on. The clear delay puts the supervisor's release
-// events beyond the calendar ring, in the far heap.
+// with staged recovery on. The clear delay schedules the supervisor's
+// release events 1,500 cycles ahead, across many skipped stalls.
 func equivalenceGrid() []Config {
 	prots := []soc.Protection{soc.Distributed, soc.Centralized, soc.Unprotected}
 	bgs := []string{"none", "stream", "secure-stream", "secure-scrub", "cipher-mix"}
@@ -57,9 +58,10 @@ func equivalenceGrid() []Config {
 }
 
 // TestSkippingMatchesPerCycleStepping: skipping quiescent cycles must not
-// move a single simulated cycle. Every grid point runs twice, once on the
-// normal engines and once stepping every cycle, and the two runs must
-// emit byte-identical records and identical traces.
+// move a single simulated cycle, and ticking only the due tickers must
+// not miss a tick. Every grid point runs twice, once on the normal engines
+// and once stepping every cycle with every ticker ticked, and the two runs
+// must emit byte-identical records and identical traces.
 func TestSkippingMatchesPerCycleStepping(t *testing.T) {
 	for _, cfg := range equivalenceGrid() {
 		name := cfg.Name()

@@ -95,6 +95,7 @@ func (s Stats) CPI() float64 {
 type Core struct {
 	cfg   Config
 	eng   *sim.Engine
+	id    int // ticker id on eng
 	conn  bus.Conn
 	local *mem.Store
 
@@ -106,7 +107,15 @@ type Core struct {
 	haltCycle uint64 // cycle the current halt happened (valid while halted)
 	waitBus   bool
 	pause     uint64 // extra cycles to burn (local mem op)
-	awake     bool   // !halted && !waitBus, as last reported to the engine
+
+	// Cycles and StallCycles are counted as intervals rather than per
+	// tick: runFrom is the first cycle of the current running interval
+	// (valid while !halted) and stallFrom that of the current bus stall
+	// (valid while waitBus), both the core's next turn (sim.Engine.NextTurn)
+	// when the interval opened. halt and onBusDone close them into stats;
+	// Stats adds the ones still open.
+	runFrom   uint64
+	stallFrom uint64
 
 	scratch uint32
 	thread  uint32
@@ -164,7 +173,8 @@ func New(eng *sim.Engine, cfg Config, conn bus.Conn) *Core {
 	}
 	c.regs[isa.RegSP] = cfg.LocalBase + cfg.LocalSize - 16 // default stack top
 	c.busDone = c.onBusDone
-	eng.AddTicker(c)
+	c.id = eng.AddTicker(c)
+	c.runFrom = eng.NextTurn(c.id)
 	c.syncAwake()
 	return c
 }
@@ -196,8 +206,19 @@ func (c *Core) SetReg(n int, v uint32) {
 // Halted reports whether the core has stopped and why.
 func (c *Core) Halted() (bool, HaltCause) { return c.halted, c.cause }
 
-// Stats returns the performance counters.
-func (c *Core) Stats() Stats { return c.stats }
+// Stats returns the performance counters, counting the running interval
+// and the stall still open up to the cycle before the core's next turn.
+func (c *Core) Stats() Stats {
+	s := c.stats
+	next := c.eng.NextTurn(c.id)
+	if !c.halted {
+		s.Cycles += next - c.runFrom
+	}
+	if c.waitBus {
+		s.StallCycles += next - c.stallFrom
+	}
+	return s
+}
 
 // Load copies an assembled program into local memory and points the pc at
 // its base (or the `_start` symbol when defined).
@@ -208,7 +229,10 @@ func (c *Core) Load(p *isa.Program) {
 		addr += 4
 	}
 	c.pc = p.Entry("_start")
-	c.halted = false
+	if c.halted {
+		c.halted = false
+		c.runFrom = c.eng.NextTurn(c.id)
+	}
 	c.cause = HaltNone
 	c.haltCycle = 0
 	c.syncAwake()
@@ -230,47 +254,28 @@ func (c *Core) Reset() {
 	c.epc = 0
 	c.ivec = 0
 	c.stats = Stats{}
+	c.runFrom = c.eng.NextTurn(c.id)
 	c.syncAwake()
 }
 
 func (c *Core) halt(cause HaltCause) {
+	if !c.halted {
+		c.stats.Cycles += c.eng.NextTurn(c.id) - c.runFrom
+	}
 	c.halted = true
 	c.cause = cause
 	c.haltCycle = c.eng.Now()
 	c.syncAwake()
 }
 
-// syncAwake reports a change of sleep state to the engine (sim.Engine.Wake
-// and Doze). A core sleeps while it is halted or stalled on the bus: only
-// Load, Reset or its bus completion event can change its state then.
+// syncAwake reports the core's sleep state to the engine. A core sleeps
+// while it is halted or stalled on the bus: only Load, Reset or its bus
+// completion event can change its state then.
 func (c *Core) syncAwake() {
-	awake := !c.halted && !c.waitBus
-	if awake == c.awake {
-		return
-	}
-	c.awake = awake
-	if awake {
-		c.eng.Wake()
+	if !c.halted && !c.waitBus {
+		c.eng.WakeAt(c.id, c.eng.Now())
 	} else {
-		c.eng.Doze()
-	}
-}
-
-// NextTick implements sim.Sleeper: a running core needs every cycle; a
-// halted or stalled one waits for an event.
-func (c *Core) NextTick(now uint64) uint64 {
-	if c.halted || c.waitBus {
-		return sim.Never
-	}
-	return now
-}
-
-// Skip implements sim.Sleeper: a core stalled on the bus counts every
-// elided cycle as a running stall cycle, exactly as Tick would have.
-func (c *Core) Skip(n uint64) {
-	if !c.halted && c.waitBus {
-		c.stats.Cycles += n
-		c.stats.StallCycles += n
+		c.eng.Sleep(c.id)
 	}
 }
 
@@ -283,14 +288,10 @@ func (c *Core) isLocal(addr uint32, n uint32) bool {
 	return c.local.InRange(addr, n)
 }
 
-// Tick implements sim.Ticker: execute at most one instruction per cycle.
+// Tick implements sim.Ticker: execute at most one instruction per cycle. A
+// halted or stalled core is asleep and its Tick does nothing.
 func (c *Core) Tick(now uint64) {
-	if c.halted {
-		return
-	}
-	c.stats.Cycles++
-	if c.waitBus {
-		c.stats.StallCycles++
+	if c.halted || c.waitBus {
 		return
 	}
 	if c.pause > 0 {
@@ -540,6 +541,7 @@ func (c *Core) memOp(in isa.Instr, addr uint32, storeVal uint32, next uint32) {
 		c.busData[0] = storeVal
 	}
 	c.waitBus = true
+	c.stallFrom = c.eng.NextTurn(c.id)
 	c.busRd = in.Rd
 	c.busOp = in.Op
 	c.busNext = next
@@ -550,7 +552,10 @@ func (c *Core) memOp(in isa.Instr, addr uint32, storeVal uint32, next uint32) {
 // onBusDone completes the stalled memory instruction when its bus
 // transaction finishes.
 func (c *Core) onBusDone(done *bus.Transaction) {
-	c.waitBus = false
+	if c.waitBus {
+		c.stats.StallCycles += c.eng.NextTurn(c.id) - c.stallFrom
+		c.waitBus = false
+	}
 	if !done.Resp.OK() {
 		c.stats.BusErrors++
 		if c.busOp.IsLoad() {

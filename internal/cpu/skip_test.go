@@ -12,7 +12,7 @@ import (
 
 const (
 	slowBase = 0x1000_0000
-	slowLat  = 1500 // beyond the engine's calendar ring
+	slowLat  = 1500 // a long stall, of the order of a secured access
 	slowBad  = 0x800
 	dmaBase  = 0x2000_0000
 )
@@ -43,9 +43,10 @@ func (m *slowMem) Access(_ uint64, tx *bus.Transaction) (uint64, bus.Resp) {
 }
 
 // platform is one core, a DMA engine and slow memory on a bus. Each test
-// builds a skipping platform and a per-cycle reference (a plain ticker
-// turns skipping off), drives both identically, and requires the same
-// outcome cycle for cycle.
+// builds a skipping platform and a per-cycle reference (a TickFunc turns
+// skipping off and makes the engine tick every ticker, due or asleep, on
+// every cycle), drives both identically, and requires the same outcome
+// cycle for cycle.
 type platform struct {
 	eng   *sim.Engine
 	core  *cpu.Core

@@ -38,6 +38,7 @@ type DMA struct {
 	name string
 	base uint32
 	eng  *sim.Engine
+	id   int      // ticker id on eng
 	conn bus.Conn // master path to the bus (possibly through a firewall)
 
 	src, dst, length uint32
@@ -67,7 +68,7 @@ func NewDMA(eng *sim.Engine, name string, base uint32, conn bus.Conn) *DMA {
 	d := &DMA{name: name, base: base, eng: eng, conn: conn}
 	d.onRead = d.readDone
 	d.onWrit = d.writeDone
-	eng.AddTicker(d)
+	d.id = eng.AddTicker(d)
 	return d
 }
 
@@ -140,10 +141,12 @@ func (d *DMA) start() {
 	d.remaining = d.length
 	d.rdAddr = d.src
 	d.wrAddr = d.dst
+	d.eng.WakeAt(d.id, d.eng.Now())
 }
 
 // Tick implements sim.Ticker: drive the copy loop, one outstanding bus
-// transaction at a time (read a chunk, then write it).
+// transaction at a time (read a chunk, then write it). The DMA is due from
+// a start or a written chunk until it submits the next chunk or finishes.
 func (d *DMA) Tick(now uint64) {
 	if !d.Busy() || d.pending {
 		return
@@ -151,6 +154,7 @@ func (d *DMA) Tick(now uint64) {
 	if d.remaining == 0 {
 		d.status = DMADone
 		d.Copies++
+		d.eng.Sleep(d.id)
 		return
 	}
 	words := d.remaining / 4
@@ -163,20 +167,9 @@ func (d *DMA) Tick(now uint64) {
 		Data: d.chunk[:words],
 	}
 	d.pending = true
+	d.eng.Sleep(d.id)
 	d.conn.Submit(rd, d.onRead)
 }
-
-// NextTick implements sim.Sleeper: an idle engine, or one waiting on its
-// chunk, has nothing to do until a register write or a bus completion.
-func (d *DMA) NextTick(now uint64) uint64 {
-	if !d.Busy() || d.pending {
-		return sim.Never
-	}
-	return now
-}
-
-// Skip implements sim.Sleeper: the copy loop counts nothing per cycle.
-func (d *DMA) Skip(uint64) {}
 
 // readDone turns a fetched chunk around into the write half of the copy.
 func (d *DMA) readDone(rdDone *bus.Transaction) {
@@ -203,12 +196,14 @@ func (d *DMA) writeDone(wrDone *bus.Transaction) {
 	d.rdAddr += n
 	d.wrAddr += n
 	d.remaining -= n
+	d.eng.WakeAt(d.id, d.eng.Now())
 }
 
 func (d *DMA) fail() {
 	d.pending = false
 	d.status = DMAError
 	d.Errors++
+	d.eng.Sleep(d.id)
 }
 
 // String summarizes the engine state.

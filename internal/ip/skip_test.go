@@ -9,29 +9,29 @@ import (
 	"repro/internal/sim"
 )
 
-// poker is a register-poking Sleeper: at cycle at, from its own tick, it
-// writes 1 to the DMA's control register. Registered after the DMA, it
-// starts the copy after the DMA has already ticked in that cycle.
+// poker is a register-poking ticker, due only at cycle at: from its own
+// tick it writes 1 to the DMA's control register, then sleeps. Registered
+// after the DMA, it starts the copy after the DMA's turn in that cycle.
 type poker struct {
+	eng *sim.Engine
+	id  int
 	dma *ip.DMA
 	at  uint64
+}
+
+func addPoker(eng *sim.Engine, dma *ip.DMA, at uint64) {
+	p := &poker{eng: eng, dma: dma, at: at}
+	p.id = eng.AddTicker(p)
+	eng.WakeAt(p.id, at)
 }
 
 func (p *poker) Tick(now uint64) {
 	if now == p.at {
 		p.dma.Access(now, &bus.Transaction{Op: bus.Write, Addr: dmaBase + ip.DMARegCtrl,
 			Size: 4, Burst: 1, Data: []uint32{1}})
+		p.eng.Sleep(p.id)
 	}
 }
-
-func (p *poker) NextTick(now uint64) uint64 {
-	if now <= p.at {
-		return p.at
-	}
-	return sim.Never
-}
-
-func (*poker) Skip(uint64) {}
 
 // TestDMAStartWakesSkippingEngine: a DMA started after its own tick ends
 // the cycle needing a tick while nothing else is awake and no event is
@@ -45,7 +45,7 @@ func TestDMAStartWakesSkippingEngine(t *testing.T) {
 		ddr := mem.NewDDR("ddr", ddrBase, 0x1_0000)
 		b.AddSlave(ddr)
 		dma := ip.NewDMA(eng, "dma", dmaBase, b.NewMaster("dma"))
-		eng.AddTicker(&poker{dma: dma, at: 500})
+		addPoker(eng, dma, 500)
 		if perCycle {
 			eng.AddTicker(sim.TickFunc(func(uint64) {}))
 		}

@@ -10,8 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/faultpoint"
 	"repro/internal/journal"
+	"repro/internal/sweep"
 )
 
 // newFleet builds a coordinator over n real backend servers.
@@ -30,6 +32,21 @@ func newFleet(t *testing.T, n int, cfg Config) (*Server, *httptest.Server, []*Se
 	}
 	coord, coordTS := newTestServer(t, cfg)
 	return coord, coordTS, backends, backendTS
+}
+
+// TestRecordsLeadWithIndex: the coordinator's merge reads a backend line's
+// grid index from its first key alone (sweep.Merge), so both record types
+// it merges must marshal their index first.
+func TestRecordsLeadWithIndex(t *testing.T) {
+	for _, rec := range []any{sweep.RunResult{Index: 7, Name: "n"}, campaign.Record{Index: 7, Name: "n"}} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(line, []byte(`{"index":7,`)) {
+			t.Fatalf("%T marshals as %.60s..., want the index first", rec, line)
+		}
+	}
 }
 
 // TestFleetMergesByteIdentically is the coordinator's core contract: a

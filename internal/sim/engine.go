@@ -3,60 +3,58 @@
 //
 // The engine advances a global cycle counter. Work is expressed two ways:
 //
-//   - Tickers: components registered with AddTicker are called once per
-//     stepped cycle, in registration order. This models always-on
-//     synchronous logic (CPU cores, bus arbiters).
+//   - Tickers: synchronous logic registered with AddTicker (CPU cores, the
+//     bus arbiter, the DMA engine). A ticker tells the engine on which
+//     cycles it is due, and is ticked on each of them, in registration
+//     order.
 //   - Events: one-shot callbacks scheduled at an absolute or relative cycle.
 //     Events scheduled for the same cycle fire in scheduling order, giving
 //     bit-identical runs for identical inputs.
 //
 // Within one cycle the engine first fires all events due at that cycle, then
-// ticks every registered Ticker. Events scheduled by a ticker for the
-// current cycle run before the cycle ends (after all tickers), so a
-// component may hand work to another component with zero-cycle latency when
-// modeling combinational paths.
+// ticks the due tickers, then fires the events those ticks scheduled for the
+// current cycle, so a component may hand work to another component with
+// zero-cycle latency when modeling combinational paths.
+//
+// # Due tickers
+//
+// A ticker pushes its own schedule: WakeAt makes it due on every cycle from
+// a given one on, and Sleep takes it off until the next WakeAt. A component
+// calls them on its own transitions — a core stalling on the bus sleeps and
+// its completion event wakes it — so a cycle costs one call per ticker that
+// has work, not one per registered ticker. Wakes inside a cycle follow the
+// rules of ticking every ticker every cycle: a ticker woken by an event
+// before the ticks, or by the Tick of a ticker registered before it, is
+// ticked in that cycle, and one woken after its own turn is ticked from the
+// next. NextTurn names that cycle, which lets a component count cycles as
+// intervals opened and closed on its transitions instead of one per tick.
 //
 // # Quiescent cycles
 //
 // A stalled platform spends most of its cycles waiting: a core blocked on
 // a secured off-chip access sits through the whole SB/DDR/IC/CC pipeline
-// with nothing to do. Run and RunUntil jump over such cycles instead of
-// stepping them. A ticker that implements Sleeper says, between cycles,
-// when it next needs a tick; when no event is due and every ticker sleeps,
-// the engine moves the clock straight to the earliest of the next event,
-// the earliest ticker wake-up and the end of the call's budget, and
-// credits the elided cycles to each sleeper in bulk (Sleeper.Skip). No
-// simulated state other than those credits changes in an elided cycle, so
-// results are cycle-for-cycle those of stepping every cycle.
+// with nothing to do. Run and RunUntil jump over cycles in which no ticker
+// and no event is due: the clock moves straight to the earliest of the next
+// event, the earliest due cycle and the end of the call's budget. Nothing
+// happens in such a cycle, so results are cycle-for-cycle those of stepping
+// every cycle.
 //
-// A ticker that is not a Sleeper (a TickFunc, say) is called every cycle
-// and disables skipping for its engine; an engine without tickers steps
-// every cycle too. Those are the per-cycle reference the equivalence tests
-// compare against. Step and Drain always advance exactly one cycle at a
-// time.
+// A TickFunc cannot say when it is due, so it is ticked every cycle, and
+// registering one turns its engine into the per-cycle reference the
+// equivalence tests compare against: from then on Step ticks every ticker
+// on every cycle, due or not, and nothing is skipped. A ticker's Tick must
+// therefore do nothing on a cycle it is not due. An engine without tickers
+// steps every cycle too. Step and Drain always advance exactly one cycle.
 //
-// # Event queue implementation
+// # Event queue
 //
-// The queue is a bucketed calendar queue: a fixed ring of per-cycle event
-// slices covers the near-future window [now, now+ringWindow), and a binary
-// heap holds the (rare) events scheduled further out. Scheduling into the
-// ring is an append into the bucket for that cycle; firing walks the
-// current bucket in append order. Bucket slices and the far heap keep
-// their capacity across cycles, so steady-state Schedule/fire does zero
-// heap allocations. ScheduleArg additionally lets hot callers pass a
-// pre-bound callback plus a pointer argument instead of allocating a fresh
-// closure per event.
-//
-// Determinism contract: same-cycle events fire in schedule order, across
-// the ring/heap boundary too. An event for cycle X only lands in the far
-// heap while X >= now+ringWindow, i.e. strictly before any event for X can
-// land in the ring (which requires X < now+ringWindow and the clock never
-// runs backwards), so every heap-resident event for a cycle was scheduled
-// before every ring-resident event for the same cycle. Firing heap events
-// first (in cycle, then schedule order) therefore preserves global FIFO
-// order within a cycle. A jump over quiescent cycles stops at the next
-// event and only moves the clock forward, so it never passes an event and
-// the argument holds across jumps.
+// Events wait in one binary min-heap ordered by (cycle, seq), where seq
+// counts Schedule calls, so events due in the same cycle fire in schedule
+// order by construction. A platform has a handful of events pending at a
+// time, so the heap stays a few entries deep, and it keeps its capacity:
+// steady-state scheduling allocates nothing. ScheduleArg additionally lets
+// hot callers pass a pre-bound callback plus a pointer argument instead of
+// allocating a fresh closure per event.
 package sim
 
 import (
@@ -64,95 +62,66 @@ import (
 	"math"
 )
 
-// Ticker is synchronous logic evaluated once per cycle.
+// Ticker is synchronous logic evaluated on the cycles it is due.
 type Ticker interface {
-	// Tick is called once per stepped cycle with the current cycle
-	// number. A ticker that cannot sleep (is not a Sleeper) is called
-	// exactly once per simulated cycle, since its engine never skips.
+	// Tick is called once per stepped cycle on which the ticker is due,
+	// with the current cycle number. On the per-cycle reference (see
+	// TickFunc) it is called on every cycle, so it must do nothing on a
+	// cycle the ticker is not due.
 	Tick(now uint64)
 }
 
-// Never is the wake-up cycle of a Sleeper that only an event can wake.
-const Never = math.MaxUint64
-
-// Sleeper is a Ticker that can report the cycles it would sleep through,
-// which lets the engine jump over them.
-type Sleeper interface {
-	Ticker
-	// NextTick returns the first cycle at or after now whose Tick may
-	// change state beyond what Skip accounts for, assuming no event
-	// fires before then, or Never when only an event can wake the
-	// sleeper. The engine asks only between cycles, after every event
-	// of the previous cycle has fired, so the answer must be computed
-	// from current state rather than remembered from the last Tick.
-	NextTick(now uint64) uint64
-	// Skip stands in for n consecutive Tick calls that the engine
-	// elided because no event was due and every ticker slept through
-	// them: it applies whatever those ticks would have counted.
-	Skip(n uint64)
-}
-
-// TickFunc adapts a plain function to the Ticker interface.
+// TickFunc adapts a plain function to the Ticker interface. It is due on
+// every cycle, and registering one makes its engine tick every ticker on
+// every cycle without skipping (the per-cycle reference).
 type TickFunc func(now uint64)
 
 // Tick implements Ticker.
 func (f TickFunc) Tick(now uint64) { f(now) }
 
-// ringWindow is the calendar-queue near-future window in cycles. Must be a
-// power of two. Events at least this far ahead overflow into the far heap.
-const ringWindow = 1024
+// never is the due cycle of a sleeping ticker.
+const never = math.MaxUint64
 
-// event is one scheduled callback: either a plain closure (fn) or a
-// pre-bound callback with its argument (afn, arg) for allocation-free
-// scheduling on hot paths.
+// event is one scheduled callback with its argument, ordered in the heap by
+// (cycle, seq).
 type event struct {
-	fn  func(now uint64)
-	afn func(now uint64, arg any)
-	arg any
-}
-
-func (ev *event) fire(now uint64) {
-	if ev.fn != nil {
-		ev.fn(now)
-		return
-	}
-	ev.afn(now, ev.arg)
-}
-
-// farEvent is an event beyond the ring window, ordered by (cycle, seq).
-type farEvent struct {
 	cycle uint64
 	seq   uint64
-	ev    event
+	fn    func(now uint64, arg any)
+	arg   any
 }
+
+func (a *event) before(b *event) bool {
+	if a.cycle != b.cycle {
+		return a.cycle < b.cycle
+	}
+	return a.seq < b.seq
+}
+
+// callFunc fires a plain Schedule callback, carried as the event argument
+// (a func value converts to an interface without allocating).
+func callFunc(now uint64, arg any) { arg.(func(uint64))(now) }
 
 // Engine is the cycle-driven simulation kernel. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
-	now      uint64
-	seq      uint64
-	tickers  []Ticker
-	sleepers []Sleeper // the tickers that implement Sleeper
+	now    uint64
+	seq    uint64
+	events []event // binary min-heap on (cycle, seq)
 
-	// awake counts reasons to step the next cycle without looking for a
-	// jump: tickers that declared themselves awake (Wake/Doze), plain
-	// Tickers (permanently), and, until the first AddTicker, the empty
-	// ticker list. Run and RunUntil try to skip only while it is zero, so
-	// an active cycle pays one comparison. It is only a hint: whether a
-	// cycle can be skipped is always decided by asking every Sleeper.
-	awake  int
-	elided uint64 // cycles jumped over rather than stepped
+	tickers []Ticker
+	due     []uint64 // per ticker: the cycle it is due from, or never
+	turn    int      // tickers[:turn] have had their turn in the current Step, whenever a callback runs
+	plain   bool     // a TickFunc is registered: tick all, every cycle
+	elided  uint64   // cycles jumped over rather than stepped
 
-	// Calendar queue: ring[c & (ringWindow-1)] buckets events due at
-	// cycle c within the near window; far holds everything else as a
-	// binary min-heap on (cycle, seq). fireIdx is the firing cursor into
-	// the current cycle's bucket (events appended mid-fire are seen
-	// because the loop re-reads the bucket length). pending counts all
-	// scheduled, not-yet-fired events across both structures.
-	ring    [ringWindow][]event
-	fireIdx int
-	far     []farEvent
-	pending int
+	// nextDue is at most the earliest due cycle of any ticker: Step sets
+	// it to the minimum it sees as the tickers take their turns, and
+	// WakeAt lowers it. A Sleep after the ticker's turn can leave it
+	// early, which costs one stepped cycle with nothing due, never a
+	// missed tick. It lets Run and RunUntil tell a busy cycle with one
+	// comparison.
+	nextDue uint64
 
 	freq    Frequency
 	stopped bool
@@ -165,7 +134,7 @@ func NewEngine(freq Frequency) *Engine {
 	if freq <= 0 {
 		freq = DefaultFrequency
 	}
-	return &Engine{freq: freq, awake: 1}
+	return &Engine{freq: freq, nextDue: never}
 }
 
 // Now returns the current cycle number.
@@ -178,47 +147,59 @@ func (e *Engine) Frequency() Frequency { return e.freq }
 // stepping; Now() - Elided() were stepped.
 func (e *Engine) Elided() uint64 { return e.elided }
 
-// AddTicker registers t to be ticked once per cycle. Tickers run in
-// registration order after all events due in the cycle have fired. A
-// ticker that does not implement Sleeper is ticked every cycle and turns
-// cycle skipping off for this engine.
-func (e *Engine) AddTicker(t Ticker) {
+// AddTicker registers t and returns its id for WakeAt, Sleep and NextTurn.
+// t starts asleep. Tickers run in registration order after all events due
+// in the cycle have fired. A TickFunc is ticked every cycle and turns this
+// engine into the per-cycle reference (see the package comment).
+func (e *Engine) AddTicker(t Ticker) int {
 	if t == nil {
 		panic("sim: AddTicker(nil)")
 	}
-	if len(e.tickers) == 0 {
-		e.awake-- // the ticker list is no longer empty
+	if _, ok := t.(TickFunc); ok {
+		e.plain = true
 	}
 	e.tickers = append(e.tickers, t)
-	if s, ok := t.(Sleeper); ok {
-		e.sleepers = append(e.sleepers, s)
-	} else {
-		e.awake++
+	e.due = append(e.due, never)
+	return len(e.tickers) - 1
+}
+
+// WakeAt makes ticker id due on every cycle from cycle on, until it sleeps
+// or is woken for another cycle. A cycle not in the future means from the
+// ticker's next turn (see NextTurn).
+func (e *Engine) WakeAt(id int, cycle uint64) {
+	e.due[id] = cycle
+	if cycle < e.nextDue {
+		e.nextDue = cycle
 	}
 }
 
-// Wake and Doze keep the engine's count of sleepers that are awake: a
-// Sleeper calls Wake when it starts needing every cycle and Doze when it
-// stops, one Doze per Wake. While any sleeper is awake, the engine steps
-// without asking the sleepers for their next tick, which keeps busy
-// cycles as cheap as they are without skipping. The count is only a
-// hint: a sleeper that never calls them is asked whenever the others are
-// all asleep, and NextTick alone decides whether cycles are skipped.
-func (e *Engine) Wake() { e.awake++ }
+// Sleep takes ticker id off the cycles it is due until the next WakeAt.
+func (e *Engine) Sleep(id int) { e.due[id] = never }
 
-// Doze is the counterpart of Wake.
-func (e *Engine) Doze() { e.awake-- }
+// NextTurn returns the cycle of ticker id's next turn: the current cycle,
+// or the next one once the ticker's turn in the current Step has passed
+// (during its own Tick, in a later ticker's Tick, or in an event fired
+// after the ticks). It is the first cycle a wake now can tick it on.
+func (e *Engine) NextTurn(id int) uint64 {
+	if id < e.turn {
+		return e.now + 1
+	}
+	return e.now
+}
 
 // Schedule runs fn after delay cycles (delay 0 means later in the current
 // cycle if the engine is mid-step, otherwise at the current cycle).
 func (e *Engine) Schedule(delay uint64, fn func(now uint64)) {
-	e.scheduleEvent(e.now+delay, event{fn: fn})
+	e.ScheduleAt(e.now+delay, fn)
 }
 
 // ScheduleAt runs fn at absolute cycle. Scheduling in the past panics: it
 // indicates a causality bug in a hardware model.
 func (e *Engine) ScheduleAt(cycle uint64, fn func(now uint64)) {
-	e.scheduleEvent(cycle, event{fn: fn})
+	if fn == nil {
+		panic("sim: schedule with nil callback")
+	}
+	e.ScheduleArgAt(cycle, callFunc, fn)
 }
 
 // ScheduleArg runs fn(now, arg) after delay cycles. It is the
@@ -227,29 +208,53 @@ func (e *Engine) ScheduleAt(cycle uint64, fn func(now uint64)) {
 // construction) and threads per-event state through arg, typically a
 // pointer, instead of capturing it in a fresh closure per event.
 func (e *Engine) ScheduleArg(delay uint64, fn func(now uint64, arg any), arg any) {
-	e.scheduleEvent(e.now+delay, event{afn: fn, arg: arg})
+	e.ScheduleArgAt(e.now+delay, fn, arg)
 }
 
 // ScheduleArgAt is ScheduleArg at an absolute cycle.
 func (e *Engine) ScheduleArgAt(cycle uint64, fn func(now uint64, arg any), arg any) {
-	e.scheduleEvent(cycle, event{afn: fn, arg: arg})
-}
-
-func (e *Engine) scheduleEvent(cycle uint64, ev event) {
-	if ev.fn == nil && ev.afn == nil {
+	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
 	if cycle < e.now {
 		panic(fmt.Sprintf("sim: schedule at cycle %d in the past (now=%d)", cycle, e.now))
 	}
-	e.pending++
-	if cycle < e.now+ringWindow {
-		i := cycle & (ringWindow - 1)
-		e.ring[i] = append(e.ring[i], ev)
-		return
-	}
 	e.seq++
-	e.farPush(farEvent{cycle: cycle, seq: e.seq, ev: ev})
+	e.events = append(e.events, event{cycle: cycle, seq: e.seq, fn: fn, arg: arg})
+	h := e.events
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop references once fired
+	h = h[:n]
+	e.events = h
+	for i := 0; ; {
+		small, l, r := i, 2*i+1, 2*i+2
+		if l < n && h[l].before(&h[small]) {
+			small = l
+		}
+		if r < n && h[r].before(&h[small]) {
+			small = r
+		}
+		if small == i {
+			return top
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
 }
 
 // Stop requests that the current (or next) Run/RunUntil call return after
@@ -259,85 +264,35 @@ func (e *Engine) scheduleEvent(cycle uint64, ev event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step advances the simulation by exactly one cycle: fire due events, then
-// tick every ticker, then fire any events those tickers scheduled for the
-// same cycle, then advance the clock.
+// tick the due tickers (every ticker on the per-cycle reference), then fire
+// any events those ticks scheduled for the same cycle, then advance the
+// clock.
 func (e *Engine) Step() {
 	e.fireDue()
-	for _, t := range e.tickers {
-		t.Tick(e.now)
+	now, all := e.now, e.plain
+	e.nextDue = never // WakeAt during the ticks lowers it again
+	next := uint64(never)
+	for i := 0; i < len(e.tickers); i++ {
+		d := e.due[i]
+		if d <= now || all {
+			e.turn = i + 1
+			e.tickers[i].Tick(now)
+			d = e.due[i]
+		}
+		next = min(next, d)
 	}
+	e.nextDue = min(e.nextDue, next)
+	e.turn = len(e.tickers)
 	e.fireDue() // zero-latency events scheduled during ticking
-	i := e.now & (ringWindow - 1)
-	e.ring[i] = e.ring[i][:0]
-	e.fireIdx = 0
+	e.turn = 0
 	e.now++
 }
 
 func (e *Engine) fireDue() {
-	// Far events first: they were necessarily scheduled before any
-	// ring-resident event for this cycle (see the package comment), and a
-	// firing callback cannot add new far events due this cycle (that
-	// would need cycle <= now < now+ringWindow, which lands in the ring).
-	for len(e.far) > 0 && e.far[0].cycle <= e.now {
-		fe := e.farPop()
-		e.pending--
-		fe.ev.fire(e.now)
+	for len(e.events) > 0 && e.events[0].cycle <= e.now {
+		ev := e.pop()
+		ev.fn(e.now, ev.arg)
 	}
-	slot := &e.ring[e.now&(ringWindow-1)]
-	for e.fireIdx < len(*slot) {
-		ev := (*slot)[e.fireIdx]
-		(*slot)[e.fireIdx] = event{} // drop references once fired
-		e.fireIdx++
-		e.pending--
-		ev.fire(e.now)
-	}
-}
-
-// farPush and farPop maintain the far-future binary min-heap ordered by
-// (cycle, seq), without container/heap's interface boxing.
-func (e *Engine) farPush(fe farEvent) {
-	e.far = append(e.far, fe)
-	i := len(e.far) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !farLess(e.far[i], e.far[parent]) {
-			break
-		}
-		e.far[i], e.far[parent] = e.far[parent], e.far[i]
-		i = parent
-	}
-}
-
-func (e *Engine) farPop() farEvent {
-	top := e.far[0]
-	n := len(e.far) - 1
-	e.far[0] = e.far[n]
-	e.far[n] = farEvent{}
-	e.far = e.far[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && farLess(e.far[l], e.far[small]) {
-			small = l
-		}
-		if r < n && farLess(e.far[r], e.far[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		e.far[i], e.far[small] = e.far[small], e.far[i]
-		i = small
-	}
-	return top
-}
-
-func farLess(a, b farEvent) bool {
-	if a.cycle != b.cycle {
-		return a.cycle < b.cycle
-	}
-	return a.seq < b.seq
 }
 
 // Run advances the simulation by n cycles (or until Stop is called) and
@@ -356,7 +311,7 @@ func (e *Engine) Run(n uint64) uint64 {
 			e.stopped = false // honored: this run ends early
 			return done
 		}
-		if e.awake == 0 && done > 0 {
+		if e.nextDue > e.now {
 			if done += e.skip(n - done); done == n {
 				break
 			}
@@ -391,7 +346,7 @@ func (e *Engine) RunUntil(cond func() bool, max uint64) (cycles uint64, ok bool)
 			e.stopped = false
 			return cycles, false
 		}
-		if e.awake == 0 && cycles > 0 {
+		if e.nextDue > e.now {
 			if cycles += e.skip(max - cycles); cycles == max {
 				break
 			}
@@ -402,59 +357,35 @@ func (e *Engine) RunUntil(cond func() bool, max uint64) (cycles uint64, ok bool)
 }
 
 // skip jumps the clock over the cycles from now on, at most budget of
-// them, in which no event is due and every ticker sleeps, credits them to
-// the sleepers, and returns how many it jumped. Run and RunUntil call it
-// only between cycles and only after stepping at least one cycle in the
-// call, so every event of the previous cycle has fired and the sleepers
-// report their state as the cycle left it.
+// them, in which no ticker and no event is due, and returns how many it
+// jumped. Run and RunUntil call it only between cycles.
 func (e *Engine) skip(budget uint64) uint64 {
-	if len(e.ring[e.now&(ringWindow-1)]) > 0 {
-		return 0 // an event is due this cycle
+	if e.plain || len(e.tickers) == 0 {
+		return 0
 	}
 	end := e.now + budget
 	if end < e.now {
-		end = Never
+		end = never
 	}
-	for _, s := range e.sleepers {
-		if w := s.NextTick(e.now); w < end {
-			if w <= e.now {
-				return 0
-			}
-			end = w
-		}
-	}
-	if len(e.far) > 0 && e.far[0].cycle < end {
-		end = e.far[0].cycle
-	}
-	if e.pending > len(e.far) {
-		// Ring events all lie in [now, now+ringWindow); bucket c holds
-		// only events for cycle c, so the first non-empty one is the
-		// next ring event.
-		for c := e.now + 1; c < end && c < e.now+ringWindow; c++ {
-			if len(e.ring[c&(ringWindow-1)]) > 0 {
-				end = c
-				break
-			}
-		}
+	end = min(end, e.nextDue)
+	if len(e.events) > 0 && e.events[0].cycle < end {
+		end = e.events[0].cycle
 	}
 	if end <= e.now {
 		return 0
 	}
 	n := end - e.now
-	for _, s := range e.sleepers {
-		s.Skip(n)
-	}
 	e.now = end
 	e.elided += n
 	return n
 }
 
 // Drain runs until the event queue is empty or max cycles elapse. It steps
-// every cycle, ticking every ticker; Drain is intended for tests of pure
+// every cycle, ticking the due tickers; Drain is intended for tests of pure
 // event logic.
 func (e *Engine) Drain(max uint64) uint64 {
 	var done uint64
-	for done < max && e.pending > 0 {
+	for done < max && len(e.events) > 0 {
 		e.Step()
 		done++
 	}
@@ -462,7 +393,7 @@ func (e *Engine) Drain(max uint64) uint64 {
 }
 
 // Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Elapsed converts the current cycle count to simulated wall time in
 // seconds.

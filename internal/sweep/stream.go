@@ -126,17 +126,15 @@ func (s *shardStream) advance() error {
 		if len(raw) == 0 {
 			continue
 		}
-		var hdr struct {
-			Index *int `json:"index"`
-		}
-		if err := json.Unmarshal(raw, &hdr); err != nil || hdr.Index == nil {
+		idx, ok := lineIndex(raw)
+		if !ok {
 			return fmt.Errorf("sweep: shard %d: line without a grid index: %.80s", s.id, raw)
 		}
-		if !s.done && s.line != nil && *hdr.Index <= s.idx {
+		if !s.done && s.line != nil && idx <= s.idx {
 			return fmt.Errorf("sweep: shard %d: indices not strictly ascending (%d after %d)",
-				s.id, *hdr.Index, s.idx)
+				s.id, idx, s.idx)
 		}
-		s.idx = *hdr.Index
+		s.idx = idx
 		s.line = append(s.line[:0], raw...)
 		return nil
 	}
@@ -147,15 +145,43 @@ func (s *shardStream) advance() error {
 	return nil
 }
 
+// lineIndex returns a record line's grid index, read from the line's first
+// key, which must be "index" (every record type leads with it), without
+// decoding the rest. ok is false unless that key holds an integer and the
+// whole line is valid JSON: the check is one scan, and it is what keeps a
+// torn line out of the merged stream, which a server writes to its client
+// before decoding it.
+func lineIndex(raw []byte) (idx int, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return 0, false
+	}
+	if tok, err := dec.Token(); err != nil || tok != "index" {
+		return 0, false
+	}
+	tok, err := dec.Token()
+	num, isNum := tok.(json.Number)
+	if err != nil || !isNum {
+		return 0, false
+	}
+	if idx, err = strconv.Atoi(string(num)); err != nil {
+		return 0, false
+	}
+	return idx, json.Valid(raw)
+}
+
 // Merge recombines shard JSONL streams into the exact stream an unsharded
 // single-process sweep would have written: lines pass through byte-for-byte,
 // k-way merged on their global grid index. Each input must be ascending in
 // index (every stream WriteJSONL produces is), so only one buffered line
 // per shard is held — merging stays streaming no matter how large the
-// grid. Duplicate indices across shards are an error (overlapping shards),
-// and so is any gap in the merged sequence: the shards of a full partition
-// cover indices 0..N-1 contiguously, so a hole means a shard is missing
-// and the output would be a silently incomplete dataset.
+// grid. Every line must be valid JSON whose first key is its "index", as
+// every record's is. Duplicate indices across shards are an error
+// (overlapping shards), and so is any gap in the merged sequence: the
+// shards of a full partition cover indices 0..N-1 contiguously, so a hole
+// means a shard is missing and the output would be a silently incomplete
+// dataset.
 func Merge(w io.Writer, shards ...io.Reader) error {
 	streams := make([]*shardStream, 0, len(shards))
 	for i, r := range shards {

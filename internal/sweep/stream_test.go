@@ -167,10 +167,28 @@ func TestMergeRejectsMissingShard(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsForeignLines: a line without an integer grid index as its
+// first key, or that is not valid JSON to its end (a torn line), is
+// rejected rather than passed on.
 func TestMergeRejectsForeignLines(t *testing.T) {
+	for _, line := range []string{
+		`{"name":"no-index"}`,
+		`{"name":"index-later","index":0}`,
+		`{"index":"0"}`,
+		`{"index":0.5}`,
+		`[0]`,
+		`{"index":0,"name":"torn`,
+		`{"index":0} {}`,
+	} {
+		var out bytes.Buffer
+		err := sweep.Merge(&out, strings.NewReader(line+"\n"))
+		if err == nil || !strings.Contains(err.Error(), "without a grid index") {
+			t.Errorf("line %s: Merge = %v, want a missing-index error", line, err)
+		}
+	}
 	var out bytes.Buffer
-	if err := sweep.Merge(&out, strings.NewReader("{\"name\":\"no-index\"}\n")); err == nil {
-		t.Fatal("line without grid index accepted")
+	if err := sweep.Merge(&out, strings.NewReader(` { "index" : 0 , "name":"spaced"}`+"\n")); err != nil {
+		t.Fatalf("a valid line with white space around its index rejected: %v", err)
 	}
 }
 
