@@ -13,6 +13,7 @@
 #   make bench-diff BASE=<git ref> # same gate, against the ref measured alternately in the same run
 #   make bench-baseline # refresh the committed baseline after an intentional perf change
 #   make perfbench-test # vet + test the perfbench module, which no root target compiles
+#   make perfbench-smoke # run each gated perfbench workload once, briefly; fail unless correct with 0 failed
 #   make ci           # exactly what .github/workflows/ci.yml runs
 #   make bench        # one-shot BenchmarkEngineThroughput with allocation stats
 
@@ -47,9 +48,9 @@ RECOVERY_GRID := -attack-scenarios burst-flood,zone-escape,dos-flood \
                  -accesses 256 -inject-delay 100 -max 2000000 \
                  -recovery -recovery-staged -recovery-clear-delay 1500
 
-.PHONY: ci verify fmt vet build test race modelcheck staticcheck determinism serve-determinism trace-determinism chaos attack bench-smoke bench bench-json bench-diff bench-baseline perfbench-test clean
+.PHONY: ci verify fmt vet build test race modelcheck staticcheck determinism serve-determinism trace-determinism chaos attack bench-smoke bench bench-json bench-diff bench-baseline perfbench-test perfbench-smoke clean
 
-ci: verify perfbench-test modelcheck staticcheck determinism serve-determinism trace-determinism chaos attack bench-smoke bench-diff
+ci: verify perfbench-test perfbench-smoke modelcheck staticcheck determinism serve-determinism trace-determinism chaos attack bench-smoke bench-diff
 
 verify: fmt vet build test race staticcheck
 
@@ -232,9 +233,12 @@ PR ?= 4
 # next at 7.7-8.5k — so a single process's min-of-N is only as fast as
 # that process.
 # BENCH_SUITE prints one sample of every benchmark of the suite, run from
-# the current directory.
+# the current directory. BenchmarkDecodeMergedLine (the coordinator's
+# decode and fold of one fleet-recovery job, about a millisecond an op)
+# runs alone from internal/server at 500x.
 BENCH_SUITE = $(GO) test -run '^$$' -bench '$(BENCH_TOP)' -benchtime=3000x -benchmem . && \
-	$(GO) test -run '^$$' -bench . -benchtime=3000x -benchmem ./internal/aes ./internal/hashtree ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime=3000x -benchmem ./internal/aes ./internal/hashtree ./internal/core && \
+	$(GO) test -run '^$$' -bench '^BenchmarkDecodeMergedLine$$' -benchtime=500x -benchmem ./internal/server
 
 bench-json:
 	@mkdir -p $(BUILD)
@@ -306,6 +310,16 @@ bench-baseline:
 # refactor of an API it calls would break it silently.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# perfbench-smoke: the benchmark end to end, as it judges a change — each
+# workload BENCHMARK.json gates runs once through perfbench/run.sh
+# (--seed 1 --seconds 1 --trace 0), and any run whose result line is not
+# "correct":true with "failed":0 fails the target. perfbench-test only
+# compiles and unit-tests the harness; this boots the daemons, streams
+# every job and checks each byte. A run is retried once only when its
+# kept daemon logs show perfbench's known boot-time port collision.
+perfbench-smoke:
+	bash tools/perfbench-smoke.sh
 
 clean:
 	rm -rf $(BUILD)

@@ -268,10 +268,16 @@
 // already-merged bytes. Merged lines and locally computed records reach
 // the client through one delivery step (write, flush, journal ack,
 // aggregate fold, archive), so a journaled coordinator acks, archives and
-// replays exactly like a single node. internal/faultpoint supplies the named,
-// env-armed crash/error/stall sites (MPSOCD_FAULTPOINTS=
-// journal.ack=crash@5) threaded through the journal, the shard executor
-// and the coordinator; disarmed they cost one atomic load. `make chaos`
+// replays exactly like a single node. That step pays only for the bytes
+// it reads: a merged line is decoded for the fold without its nested
+// windows, cores and firewalls arrays (checked to be arrays, most of a
+// recovery record's ~33 KB), and the journal splices the line into its ack
+// entry verbatim instead of re-encoding it. Restore refuses a job whose
+// acks are not its grid points in stream order. internal/faultpoint
+// supplies the named, env-armed crash/error/stall sites
+// (MPSOCD_FAULTPOINTS=journal.ack=crash@5) threaded through the journal,
+// the shard executor and the coordinator; disarmed they cost one atomic
+// load. `make chaos`
 // (tools/chaos) is the gate: it crashes a real daemon at the worst
 // commit point and kills a real fleet backend mid-stream, then requires
 // the recovered streams to byte-match uninterrupted runs — with

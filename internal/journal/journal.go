@@ -142,7 +142,7 @@ func (j *Journal) FsyncNanos() uint64 { return j.fsyncNanos.Load() }
 // options. It is the first entry of the job's log; the file is created
 // here and the directory entry fsync'd so the log itself is durable.
 func (j *Journal) Accept(jobID string, spec []byte, opts SubmitOpts) error {
-	if err := j.append(jobID, entry{
+	if err := j.commit(entry{
 		Op: "accept", Job: jobID, Spec: json.RawMessage(spec),
 		Workers: opts.Workers, Shard: opts.Shard, Mode: opts.Mode,
 	}); err != nil {
@@ -152,12 +152,30 @@ func (j *Journal) Accept(jobID string, spec []byte, opts SubmitOpts) error {
 }
 
 // AckShard journals one completed shard: the grid index and the exact
-// JSONL record line (without newline) it contributed to the stream. The
-// armed faultpoint "journal.ack" fires after the entry is durable — the
-// worst possible crash instant, since the very next step would have used
-// it.
+// JSONL record line (without newline) it contributed to the stream. A
+// record that is not valid JSON is refused before anything is written.
+// The record's bytes go into the entry verbatim: a record line marshaled
+// by encoding/json is already compact and escaped, so the entry equals
+// the one json.Marshal would write, without scanning and copying the
+// record again. The armed faultpoint "journal.ack" fires after the entry
+// is durable — the worst possible crash instant, since the very next step
+// would have used it.
 func (j *Journal) AckShard(jobID string, index int, record []byte) error {
-	if err := j.append(jobID, entry{Op: "ack", Job: jobID, Index: &index, Record: json.RawMessage(record)}); err != nil {
+	if !json.Valid(record) {
+		return fmt.Errorf("journal: ack %d of %s: record is not valid JSON", index, jobID)
+	}
+	head, err := json.Marshal(entry{Op: "ack", Job: jobID, Index: &index})
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	// head is {"op":"ack","job":…,"index":…}, and record is the last
+	// field an ack carries, so it goes in place of the closing brace.
+	line := make([]byte, 0, len(head)+len(`,"record":`)+len(record)+len("}\n"))
+	line = append(line, head[:len(head)-1]...)
+	line = append(line, `,"record":`...)
+	line = append(line, record...)
+	line = append(line, "}\n"...)
+	if err := j.append(jobID, "ack", line); err != nil {
 		return err
 	}
 	return faultpoint.Hit("journal.ack")
@@ -165,7 +183,7 @@ func (j *Journal) AckShard(jobID string, index int, record []byte) error {
 
 // Term journals the job's terminal state and closes its log file.
 func (j *Journal) Term(jobID, state, errMsg string) error {
-	err := j.append(jobID, entry{Op: "term", Job: jobID, State: state, Error: errMsg})
+	err := j.commit(entry{Op: "term", Job: jobID, State: state, Error: errMsg})
 	j.mu.Lock()
 	for i, of := range j.files {
 		if of.id == jobID {
@@ -213,10 +231,19 @@ func (j *Journal) path(jobID string) string {
 	return filepath.Join(j.dir, jobID+".jnl")
 }
 
-// append marshals, writes and fsyncs one entry. The write itself is a
-// single Write call of line+newline, so a crash mid-append can only leave
-// a truncated final line — the case Replay tolerates.
-func (j *Journal) append(jobID string, e entry) error {
+// commit marshals one entry and appends it.
+func (j *Journal) commit(e entry) error {
+	data, err := json.Marshal(e)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	return j.append(e.Job, e.Op, append(data, '\n'))
+}
+
+// append writes and fsyncs one entry line, newline included. The write
+// itself is a single Write call, so a crash mid-append can only leave a
+// truncated final line — the case Replay tolerates.
+func (j *Journal) append(jobID, op string, line []byte) error {
 	if err := faultpoint.Hit("journal.append"); err != nil {
 		return err
 	}
@@ -224,13 +251,9 @@ func (j *Journal) append(jobID string, e entry) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
 	var t0, dur int64
 	j.mu.Lock()
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(line); err != nil {
 		j.mu.Unlock()
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -249,7 +272,7 @@ func (j *Journal) append(jobID string, e entry) error {
 	j.mu.Unlock()
 	j.appends.Add(1)
 	if j.opt.Observe != nil {
-		j.opt.Observe(e.Op, jobID, t0, dur)
+		j.opt.Observe(op, jobID, t0, dur)
 	}
 	return nil
 }

@@ -2,12 +2,16 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/faultpoint"
+	"repro/internal/spec"
+	"repro/internal/sweep"
 )
 
 func openT(t *testing.T) *Journal {
@@ -250,5 +254,142 @@ func TestObserveNotCalledOnRefusedAppend(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatalf("Observe fired %d times on a refused append, want 0", calls)
+	}
+}
+
+// recordLines returns real record lines as a server streams them: the
+// four points of a recovery campaign (with throughput windows), the first
+// points of a benign sweep, and a campaign record whose strings hold the
+// characters json.Marshal escapes (<, >, &).
+func recordLines(t *testing.T) [][]byte {
+	t.Helper()
+	camp, err := spec.NewCampaign(spec.CampaignSpec{
+		Scenarios:   []string{"burst-flood", "zone-escape"},
+		Protections: []string{"distributed"},
+		Cores:       []int{3},
+		Backgrounds: []string{"stream", "secure-scrub"},
+		Accesses:    96,
+		InjectDelay: 100,
+		Recovery:    &spec.RecoverySpec{Enabled: true, Staged: true, ClearDelay: 1500},
+	}).Campaign.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	swp, err := spec.NewSweep(spec.SweepSpec{
+		Protections: []string{"unprotected", "distributed", "centralized"},
+		Workloads:   []string{"stream"},
+		Targets:     []string{"internal", "external"},
+		Cores:       []int{2},
+		Accesses:    8,
+		MaxCycles:   100_000,
+	}).Sweep.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []any
+	for i, cfg := range camp {
+		r := campaign.RunOne(cfg)
+		r.Index = i
+		recs = append(recs, r)
+	}
+	for i, cfg := range swp {
+		r := sweep.RunOne(cfg)
+		r.Index = i
+		recs = append(recs, r)
+	}
+	recs = append(recs, campaign.Record{Index: 9, Name: "<script>&amp;", Goal: "a > b && b < c"})
+	var lines [][]byte
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, line)
+	}
+	if last := lines[len(lines)-1]; !bytes.Contains(last, []byte(`\u003cscript\u003e\u0026amp;`)) {
+		t.Fatalf("escaped record marshals as %s; want json.Marshal's HTML escapes", last)
+	}
+	return lines
+}
+
+// TestAckLineIsTheMarshaledEntry: AckShard splices the record into the
+// entry verbatim, and the line it writes equals what json.Marshal of the
+// entry (which re-encodes the record) plus a newline would have written;
+// Replay hands each record back byte for byte.
+func TestAckLineIsTheMarshaledEntry(t *testing.T) {
+	j := openT(t)
+	if err := j.Accept("job-0001", []byte(`{"version":1}`), SubmitOpts{Mode: "stream"}); err != nil {
+		t.Fatal(err)
+	}
+	lines := recordLines(t)
+	var windows int
+	for i, line := range lines {
+		before, err := os.ReadFile(j.path("job-0001"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AckShard("job-0001", i, line); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(j.path("job-0001"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(entry{Op: "ack", Job: "job-0001", Index: &i, Record: json.RawMessage(line)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after[len(before):]; !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("ack %d writes\n%.200s\nwant\n%.200s", i, got, want)
+		}
+		if bytes.Contains(line, []byte(`"windows":[{`)) {
+			windows++
+		}
+	}
+	if windows == 0 {
+		t.Fatal("no record carries throughput windows; the recovery records are vacuous")
+	}
+	logs, err := Replay(j.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != 1 || len(logs[0].Acks) != len(lines) {
+		t.Fatalf("replayed %+v, want one job with %d acks", logs, len(lines))
+	}
+	for i, ack := range logs[0].Acks {
+		if ack.Index != i || !bytes.Equal(ack.Record, lines[i]) {
+			t.Fatalf("ack %d replays as index %d, record byte-identical %v", i, ack.Index, bytes.Equal(ack.Record, lines[i]))
+		}
+	}
+}
+
+// TestAckShardRefusesInvalidRecord: a record that is not valid JSON is
+// refused before anything is written — the log and the append count stay
+// as they were.
+func TestAckShardRefusesInvalidRecord(t *testing.T) {
+	j := openT(t)
+	if err := j.Accept("job-0001", []byte(`{}`), SubmitOpts{Mode: "stream"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AckShard("job-0001", 0, []byte(`{"index":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(j.path("job-0001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := j.Appends()
+	for _, bad := range []string{``, `{"index":1`, `{"index":1}}`, `{"index":1,}`, "not json"} {
+		if err := j.AckShard("job-0001", 1, []byte(bad)); err == nil {
+			t.Fatalf("AckShard accepted %q", bad)
+		}
+		after, err := os.ReadFile(j.path("job-0001"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) || j.Appends() != appends {
+			t.Fatalf("refused ack %q changed the log (%d -> %d bytes) or the appends (%d -> %d)",
+				bad, len(before), len(after), appends, j.Appends())
+		}
 	}
 }

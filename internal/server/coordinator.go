@@ -25,11 +25,13 @@ import (
 //
 // The merge is only a record source. Each merged line goes to the same
 // deliver step as a locally computed record (server.go): written and
-// flushed to the client, then decoded once, acked to the journal, folded
-// into the aggregates and archived — so /aggregates, /events, records
-// counts and journal replay behave on a coordinator exactly as on a
-// single node. A coordinator serves no per-run traces: it runs no
-// simulation, so it rejects ?trace=N at submit.
+// flushed to the client, then decoded for the fold only (the nested
+// windows, cores and firewalls arrays, most of a recovery record's bytes,
+// are skipped), acked to the journal verbatim, folded into the aggregates
+// and archived — so /aggregates, /events, records counts and journal
+// replay behave on a coordinator exactly as on a single node. A
+// coordinator serves no per-run traces: it runs no simulation, so it
+// rejects ?trace=N at submit.
 //
 // The design is goroutine-free (keeping the determinism lint clean): each
 // backend stream is dispatched sequentially — cheap, because handleStream

@@ -49,33 +49,52 @@ func TestRecordsLeadWithIndex(t *testing.T) {
 	}
 }
 
+// fleetSpecs are the jobs the coordinator tests fan out: a plain attack
+// campaign, a recovery campaign whose records carry throughput windows and
+// the recovery fields, and a benign sweep — every record type the
+// coordinator decodes and folds.
+func fleetSpecs(t *testing.T) []namedSpec {
+	return []namedSpec{
+		{"campaign", campaignSpecJSON(t)},
+		{"recovery-campaign", recoveryCampaignSpecJSON(t)},
+		{"sweep", sweepSpecJSON(t)},
+	}
+}
+
 // TestFleetMergesByteIdentically is the coordinator's core contract: a
 // spec fanned across two backends streams the exact bytes a single-node
 // run produces, and the coordinator's aggregates match too.
 func TestFleetMergesByteIdentically(t *testing.T) {
-	_, single := newTestServer(t, Config{Workers: 2})
-	sid := submit(t, single, campaignSpecJSON(t), "").ID
-	want := streamAll(t, single, sid)
-	var wantAgg json.RawMessage
-	getJSON(t, single.URL+"/api/v1/jobs/"+sid+"/aggregates", &wantAgg)
+	for _, tc := range fleetSpecs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, single := newTestServer(t, Config{Workers: 2})
+			sid := submit(t, single, tc.body, "").ID
+			want := streamAll(t, single, sid)
+			if tc.name == "recovery-campaign" {
+				requireRecoveryLifecycle(t, want)
+			}
+			var wantAgg json.RawMessage
+			getJSON(t, single.URL+"/api/v1/jobs/"+sid+"/aggregates", &wantAgg)
 
-	coord, coordTS, _, _ := newFleet(t, 2, Config{})
-	st := submit(t, coordTS, campaignSpecJSON(t), "")
-	got := streamAll(t, coordTS, st.ID)
-	if !bytes.Equal(got, want) {
-		t.Fatal("fleet-merged stream differs from single-node run")
-	}
-	var gotAgg json.RawMessage
-	getJSON(t, coordTS.URL+"/api/v1/jobs/"+st.ID+"/aggregates", &gotAgg)
-	if !bytes.Equal(gotAgg, wantAgg) {
-		t.Fatalf("fleet aggregates differ:\n got %s\nwant %s", gotAgg, wantAgg)
-	}
-	m := coord.metricsSnapshot()
-	if m.Coordinator.Dispatches != 2 || m.Coordinator.Failovers != 0 {
-		t.Fatalf("dispatches=%d failovers=%d, want 2/0", m.Coordinator.Dispatches, m.Coordinator.Failovers)
-	}
-	if m.RecordsComputed != 0 {
-		t.Fatal("coordinator claims to have computed records itself")
+			coord, coordTS, _, _ := newFleet(t, 2, Config{})
+			st := submit(t, coordTS, tc.body, "")
+			got := streamAll(t, coordTS, st.ID)
+			if !bytes.Equal(got, want) {
+				t.Fatal("fleet-merged stream differs from single-node run")
+			}
+			var gotAgg json.RawMessage
+			getJSON(t, coordTS.URL+"/api/v1/jobs/"+st.ID+"/aggregates", &gotAgg)
+			if !bytes.Equal(gotAgg, wantAgg) {
+				t.Fatalf("fleet aggregates differ:\n got %s\nwant %s", gotAgg, wantAgg)
+			}
+			m := coord.metricsSnapshot()
+			if m.Coordinator.Dispatches != 2 || m.Coordinator.Failovers != 0 {
+				t.Fatalf("dispatches=%d failovers=%d, want 2/0", m.Coordinator.Dispatches, m.Coordinator.Failovers)
+			}
+			if m.RecordsComputed != 0 {
+				t.Fatal("coordinator claims to have computed records itself")
+			}
+		})
 	}
 }
 
@@ -213,13 +232,19 @@ func TestFleetDispatchFaultpointRotates(t *testing.T) {
 }
 
 // TestJournaledCoordinator pins the path of a coordinator with a journal:
-// a campaign merged over two backends streams the single-node bytes, a
-// second GET replays the archive byte-identically, the journal holds one
-// ack per grid point (the merged line itself) and a done term, and after
-// a restart Restore serves the same archive and aggregates.
+// a job merged over two backends streams the single-node bytes, a second
+// GET replays the archive byte-identically, the journal holds one ack per
+// grid point (the merged line itself) and a done term, and after a
+// restart Restore serves the same archive and aggregates.
 func TestJournaledCoordinator(t *testing.T) {
+	for _, tc := range fleetSpecs(t) {
+		t.Run(tc.name, func(t *testing.T) { testJournaledCoordinator(t, tc.body) })
+	}
+}
+
+func testJournaledCoordinator(t *testing.T, body []byte) {
 	_, single := newTestServer(t, Config{Workers: 2})
-	sid := submit(t, single, campaignSpecJSON(t), "").ID
+	sid := submit(t, single, body, "").ID
 	want := streamAll(t, single, sid)
 	var wantAgg json.RawMessage
 	getJSON(t, single.URL+"/api/v1/jobs/"+sid+"/aggregates", &wantAgg)
@@ -230,7 +255,7 @@ func TestJournaledCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, coordTS, _, _ := newFleet(t, 2, Config{Journal: jn})
-	st := submit(t, coordTS, campaignSpecJSON(t), "")
+	st := submit(t, coordTS, body, "")
 	if got := streamAll(t, coordTS, st.ID); !bytes.Equal(got, want) {
 		t.Fatal("journaled coordinator stream differs from single-node run")
 	}

@@ -23,7 +23,9 @@ import (
 //
 // Restore returns the number of interrupted jobs resumed. A journal entry
 // that no longer parses as a valid spec fails Restore — the journal was
-// written by this server, so that is corruption, not input error.
+// written by this server, so that is corruption, not input error — and so
+// does a job whose acks are not its grid points in stream order (see
+// checkAcks).
 func (s *Server) Restore() (resumed int, err error) {
 	if s.cfg.Journal == nil {
 		return 0, nil
@@ -89,6 +91,9 @@ func (s *Server) rebuild(lg journal.JobLog) (*Job, error) {
 	// traceLimit stays zero: trace buffers are in-memory only and do not
 	// survive a restart (the journal deliberately does not persist them).
 	j.id, j.journaled, j.traceID = lg.ID, true, "t-"+lg.ID
+	if err := j.checkAcks(lg); err != nil {
+		return nil, err
+	}
 
 	if lg.State != "" {
 		// Terminal: fold the journaled records back into the aggregates and
@@ -115,4 +120,26 @@ func (s *Server) rebuild(lg journal.JobLog) (*Job, error) {
 		j.resume[ack.Index] = ack.Record
 	}
 	return j, nil
+}
+
+// checkAcks refuses a log whose acks are not the job's grid points in the
+// order its stream emits them. deliver acks each point as it streams it,
+// and a resumed run acks only the points after the ones it re-emits, so
+// every life's acks continue a prefix of the shard's slice; a done job
+// acked all of it. Anything else would archive or resume a stream that no
+// run wrote.
+func (j *Job) checkAcks(lg journal.JobLog) error {
+	want := j.shard.Slice(j.gridSize(), j.weights())
+	for k, ack := range lg.Acks {
+		if k >= len(want) {
+			return fmt.Errorf("ack %d is grid index %d, past the %d points of shard %s", k, ack.Index, len(want), j.shard)
+		}
+		if ack.Index != want[k] {
+			return fmt.Errorf("ack %d is grid index %d, want %d (acks follow the grid order of shard %s)", k, ack.Index, want[k], j.shard)
+		}
+	}
+	if lg.State == StateDone && len(lg.Acks) < len(want) {
+		return fmt.Errorf("done after %d of %d acks: grid index %d was never acked", len(lg.Acks), len(want), want[len(lg.Acks)])
+	}
+	return nil
 }

@@ -390,3 +390,118 @@ func TestArchiveReplayConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRestoreRefusesAcksOutOfGridOrder: a job's journaled acks must be its
+// grid points in stream order — a prefix of its shard's slice, and all of
+// it for a done job. Journals written entry by entry that break this fail
+// Restore, naming the job and the first offending index; an honest prefix
+// still restores.
+func TestRestoreRefusesAcksOutOfGridOrder(t *testing.T) {
+	body := sweepSpecJSON(t)
+	_, lines := jobLines(t, body) // line i holds grid index i
+	n := len(lines)
+	upTo := func(k int, more ...int) []int {
+		idx := make([]int, 0, k+len(more))
+		for i := 0; i < k; i++ {
+			idx = append(idx, i)
+		}
+		return append(idx, more...)
+	}
+	swapped := upTo(2, 3, 2)
+	swapped = append(swapped, upTo(n)[4:]...)
+	for _, tc := range []struct {
+		name    string
+		acks    []int
+		state   string // "" leaves the job interrupted
+		wantErr string // "" means Restore succeeds
+	}{
+		{"index out of range", upTo(2, 99), StateFailed, "ack 2 is grid index 99, want 2"},
+		{"ack past the grid", upTo(n, 99), StateDone, "ack 24 is grid index 99, past the 24 points"},
+		{"swapped pair", swapped, StateDone, "ack 2 is grid index 3, want 2"},
+		{"swapped pair, interrupted", upTo(2, 3, 2), "", "ack 2 is grid index 3, want 2"},
+		{"done without its last ack", upTo(n - 1), StateDone, "done after 23 of 24 acks: grid index 23 was never acked"},
+		{"failed after a prefix", upTo(3), StateFailed, ""},
+		{"interrupted after a prefix", upTo(3), "", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jn, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jn.Accept("job-0001", body, journal.SubmitOpts{Workers: 2, Shard: "0/1", Mode: "stream"}); err != nil {
+				t.Fatal(err)
+			}
+			for _, idx := range tc.acks {
+				if err := jn.AckShard("job-0001", idx, lines[min(idx, n-1)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.state != "" {
+				if err := jn.Term("job-0001", tc.state, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			jn.Close()
+
+			jn2, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(jn2.Close)
+			s, _ := newTestServer(t, Config{Workers: 2, Journal: jn2})
+			_, err = s.Restore()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Restore refused an honest journal: %v", err)
+				}
+				if got := s.jobs["job-0001"]; got == nil || (tc.state != "" && got.records != uint64(len(tc.acks))) {
+					t.Fatalf("restored job = %+v, want %d records", got, len(tc.acks))
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "restore job-0001: ") || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Restore error = %v, want one naming job-0001 and %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestRestoreShardedDoneJob: a done job that ran one shard of a partition
+// acked that shard's cost-balanced slice — grid points 1, 4 and 6 of the
+// campaign for shard 1/3, where a count-balanced split would give 1, 4
+// and 7 — and comes back with its archive and aggregates.
+func TestRestoreShardedDoneJob(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts1 := newTestServer(t, Config{Workers: 2, Journal: jn})
+	st := submit(t, ts1, campaignSpecJSON(t), "?shard=1/3")
+	want := streamAll(t, ts1, st.ID)
+	var wantAgg json.RawMessage
+	getJSON(t, ts1.URL+"/api/v1/jobs/"+st.ID+"/aggregates", &wantAgg)
+	jn.Close()
+	if lines := bytes.Count(want, []byte("\n")); lines != 3 {
+		t.Fatalf("shard 1/3 streamed %d of %d points, want 3", lines, st.GridSize)
+	}
+
+	jn2, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(jn2.Close)
+	life2, ts2 := newTestServer(t, Config{Workers: 2, Journal: jn2})
+	if _, err := life2.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if got := streamAll(t, ts2, st.ID); !bytes.Equal(got, want) {
+		t.Fatal("restored shard archive differs")
+	}
+	var gotAgg json.RawMessage
+	getJSON(t, ts2.URL+"/api/v1/jobs/"+st.ID+"/aggregates", &gotAgg)
+	if !bytes.Equal(gotAgg, wantAgg) {
+		t.Fatalf("restored shard aggregates differ:\n got %s\nwant %s", gotAgg, wantAgg)
+	}
+}

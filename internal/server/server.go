@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -788,9 +789,10 @@ func (s *Server) compute(ctx context.Context, j *Job, i int) record {
 // deliver is the one path a record takes to the client, whatever its
 // source. A computed record is marshaled; a given line is kept as is.
 // The line is written and flushed first, so nothing after it delays the
-// client. Then a given line is decoded, once; the line is acked to the
-// journal unless it was resumed; and the record is folded into the
-// aggregates, archived, accounted as host bytes, published on the
+// client. Then the fields of a given line that the fold reads are
+// decoded (decode skips its nested arrays); the line is acked to the
+// journal, verbatim, unless it was resumed; and the record is folded into
+// the aggregates, archived, accounted as host bytes, published on the
 // snapshot cadence and counted as streamed.
 func (s *Server) deliver(j *Job, w io.Writer, rc *http.ResponseController, r record) error {
 	var out []byte
@@ -876,21 +878,55 @@ func (j *Job) weights() []float64 {
 	return sweep.Weights(j.sweepGrid)
 }
 
-// decode parses a record line into the job's record type.
+// decode parses a given record line into the job's record type for the
+// fold. It decodes every field except the nested per-window, per-core and
+// per-firewall arrays, which the aggregates never read and which make up
+// most of a recovery record's bytes: those are only checked to be arrays
+// (or null) and come back nil. The line's bytes are what the client, the
+// journal and the archive get; the decoded record only feeds foldLocked.
 func (j *Job) decode(line []byte) (rec any, index int, err error) {
 	if j.campaignGrid != nil {
-		var r campaign.Record
+		var r foldedCampaign
 		err = json.Unmarshal(line, &r)
-		rec, index = r, r.Index
+		rec, index = r.Record, r.Index
 	} else {
-		var r sweep.RunResult
+		var r foldedSweep
 		err = json.Unmarshal(line, &r)
-		rec, index = r, r.Index
+		rec, index = r.RunResult, r.Index
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("decoding record: %w", err)
 	}
 	return rec, index, nil
+}
+
+// foldedCampaign and foldedSweep are decode's targets: the record type,
+// whose other fields decode as usual, with its nested arrays shadowed
+// (a field of the outer struct wins over the embedded one of the same
+// JSON name).
+type foldedCampaign struct {
+	campaign.Record
+	Windows   skippedArray `json:"windows"`
+	Cores     skippedArray `json:"cores"`
+	Firewalls skippedArray `json:"firewalls"`
+}
+
+type foldedSweep struct {
+	sweep.RunResult
+	Cores     skippedArray `json:"cores"`
+	Firewalls skippedArray `json:"firewalls"`
+}
+
+// skippedArray accepts a JSON array or null and keeps nothing of it.
+// Anything else is a type error, to which encoding/json adds the name of
+// the field.
+type skippedArray struct{}
+
+func (*skippedArray) UnmarshalJSON(data []byte) error {
+	if data[0] == '[' || string(data) == "null" {
+		return nil
+	}
+	return &json.UnmarshalTypeError{Value: fmt.Sprintf("%.20s", data), Type: reflect.TypeFor[[]any]()}
 }
 
 // foldLocked adds a record to the job's aggregates and, when it carries a
