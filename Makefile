@@ -14,6 +14,7 @@
 #   make bench-baseline # refresh the committed baseline after an intentional perf change
 #   make perfbench-test # vet + test the perfbench module, which no root target compiles
 #   make perfbench-smoke # run each gated perfbench workload once, briefly; fail unless correct with 0 failed
+#   make fuzz-smoke   # run each native fuzz target for a fixed 10 s
 #   make ci           # exactly what .github/workflows/ci.yml runs
 #   make bench        # one-shot BenchmarkEngineThroughput with allocation stats
 
@@ -48,9 +49,9 @@ RECOVERY_GRID := -attack-scenarios burst-flood,zone-escape,dos-flood \
                  -accesses 256 -inject-delay 100 -max 2000000 \
                  -recovery -recovery-staged -recovery-clear-delay 1500
 
-.PHONY: ci verify fmt vet build test race modelcheck staticcheck determinism serve-determinism trace-determinism chaos attack bench-smoke bench bench-json bench-diff bench-baseline perfbench-test perfbench-smoke clean
+.PHONY: ci verify fmt vet build test race modelcheck staticcheck determinism serve-determinism trace-determinism chaos attack bench-smoke bench bench-json bench-diff bench-baseline perfbench-test perfbench-smoke fuzz-smoke clean
 
-ci: verify perfbench-test perfbench-smoke modelcheck staticcheck determinism serve-determinism trace-determinism chaos attack bench-smoke bench-diff
+ci: verify fuzz-smoke perfbench-test perfbench-smoke modelcheck staticcheck determinism serve-determinism trace-determinism chaos attack bench-smoke bench-diff
 
 verify: fmt vet build test race staticcheck
 
@@ -81,6 +82,15 @@ test:
 race:
 	$(GO) test -race ./internal/sim ./internal/bus ./internal/sweep ./internal/campaign ./internal/recovery ./internal/server ./internal/obs ./internal/journal ./internal/faultpoint ./internal/hostobs \
 		./internal/soc ./internal/core ./internal/hashtree ./internal/cpu
+
+# fuzz-smoke: each native fuzz target runs for a fixed 10 s. Plain go test
+# only replays the seed corpora (testdata/fuzz); this searches past them,
+# which matters most right after a change to the code a target covers —
+# FuzzMerge holds sweep.Merge to the priming merge it replaced,
+# FuzzCipherKernels both AES paths to crypto/aes.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzCipherKernels$$' -fuzztime 10s ./internal/aes
 
 # modelcheck: the proof gate. Exhaustively enumerate the bounded
 # policy+reactor state space (internal/modelcheck) and fail on any
@@ -233,12 +243,13 @@ PR ?= 4
 # next at 7.7-8.5k — so a single process's min-of-N is only as fast as
 # that process.
 # BENCH_SUITE prints one sample of every benchmark of the suite, run from
-# the current directory. BenchmarkDecodeMergedLine (the coordinator's
-# decode and fold of one fleet-recovery job, about a millisecond an op)
-# runs alone from internal/server at 500x.
+# the current directory. The coordinator's two layers, about a millisecond
+# an op each, run at 500x: BenchmarkMerge (internal/sweep: the merge of one
+# fleet-recovery job's two shard streams) and BenchmarkDecodeMergedLine
+# (internal/server: the decode and fold of that job's merged lines).
 BENCH_SUITE = $(GO) test -run '^$$' -bench '$(BENCH_TOP)' -benchtime=3000x -benchmem . && \
 	$(GO) test -run '^$$' -bench . -benchtime=3000x -benchmem ./internal/aes ./internal/hashtree ./internal/core && \
-	$(GO) test -run '^$$' -bench '^BenchmarkDecodeMergedLine$$' -benchtime=500x -benchmem ./internal/server
+	$(GO) test -run '^$$' -bench '^Benchmark(Merge|DecodeMergedLine)$$' -benchtime=500x -benchmem ./internal/sweep ./internal/server
 
 bench-json:
 	@mkdir -p $(BUILD)

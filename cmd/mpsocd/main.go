@@ -40,9 +40,10 @@
 //
 // With -coordinator -backends a,b,c the daemon simulates nothing itself:
 // it fans each job out as cost-balanced ?shard=i/n streams across the
-// healthy backends (drain-aware /healthz probes), re-dispatches shards
-// lost to a dead backend, and k-way merges the results byte-identically
-// to a single-node run.
+// backends, moves a shard that a draining (503) or dead backend refuses to
+// the next one, re-dispatches shards lost to a backend that dies
+// mid-stream, and merges the results byte-identically to a single-node
+// run, passing each line on as soon as it is next in grid order.
 //
 //	mpsocd -addr :9090 -coordinator -backends http://a:8080,http://b:8080
 package main

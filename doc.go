@@ -262,8 +262,10 @@
 // shard as an explicit poison record after -retry-max attempts rather
 // than failing the job. `mpsocd -coordinator -backends a,b,c` serves the
 // same spec API as a fleet front: one cost-balanced ?shard=i/n slice per
-// healthy (drain-aware /healthz) backend, k-way merged via sweep.Merge
-// into the single-node byte stream, with mid-stream backend death
+// configured backend, merged via sweep.Merge into the single-node byte
+// stream, each line passed on as soon as it is next in grid order. A
+// draining backend refuses the submit with 503 and the dispatch rotation
+// moves its shard to the next backend; mid-stream backend death is
 // handled by re-dispatching the shard and fast-forwarding past the
 // already-merged bytes. Merged lines and locally computed records reach
 // the client through one delivery step (write, flush, journal ack,
@@ -313,7 +315,7 @@
 // span ring exported as a cross-node Chrome trace document
 // (/api/v1/jobs/{id}/hosttrace — the coordinator mints a trace ID per
 // job, propagates it via the X-Mpsoc-Trace header, and merges its own
-// spans with every healthy backend's); per-job host resource accounting
+// spans with every dispatched backend's); per-job host resource accounting
 // (exec nanoseconds, allocs, bytes streamed, records/s) as a sibling
 // field in status and aggregates; net/http/pprof plus runtime/metrics
 // on a separate -debug-addr listener; and a crash flight recorder — a

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Reactor implements the paper's stated future work: "reconfiguration of
 // security services (i.e. modification of security policies) to counter
@@ -192,17 +189,6 @@ func (r *Reactor) OpenIncident(master string) (stamp QuarantineStamp, index int,
 		return QuarantineStamp{}, -1, false
 	}
 	return r.stamps[i], i, true
-}
-
-// GuardedMasters returns the guarded master names in sorted order.
-// Introspection hook for internal/modelcheck's state enumeration.
-func (r *Reactor) GuardedMasters() []string {
-	names := make([]string, 0, len(r.guarded))
-	for m := range r.guarded {
-		names = append(names, m)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (r *Reactor) now() uint64 {

@@ -16,12 +16,14 @@ import (
 
 // Fleet coordination. A Server with Config.Backends set simulates nothing
 // itself: it accepts the same spec API, splits each job's grid into one
-// cost-balanced sub-shard per healthy backend (sweep.Shard.Slice weighs
+// cost-balanced sub-shard per configured backend (sweep.Shard.Slice weighs
 // grid points by simulated work, so backends finish together), POSTs the
-// spec with ?shard=i/n&mode=stream to each, and k-way merges the shard
-// streams back through sweep.Merge — producing the exact byte stream a
-// single-node run of the same spec would have, which is what the chaos
-// gate checks.
+// spec with ?shard=i/n&mode=stream to each, and merges the shard streams
+// back through sweep.Merge — producing the exact byte stream a single-node
+// run of the same spec would have, which is what the chaos gate checks.
+// Membership is decided at dispatch: a draining backend refuses the submit
+// with 503 and a dead one refuses the connection, and either way the
+// dispatch rotation moves that shard whole to the next backend.
 //
 // The merge is only a record source. Each merged line goes to the same
 // deliver step as a locally computed record (server.go): written and
@@ -37,59 +39,27 @@ import (
 // backend stream is dispatched sequentially — cheap, because handleStream
 // flushes response headers before running, so the dispatch returns as soon
 // as the backend accepts — and the concurrency lives server-side in the
-// backends. Merge then consumes the live bodies with its one-line-per-shard
-// buffer, which is also the fleet's backpressure: a slow coordinator
-// client stalls Merge, which stops reading backend streams, which stalls
-// backend emission through their own credit gates.
+// backends. Merge then consumes the live bodies, holding at most one line
+// per shard and passing each line on as soon as it is next in grid order,
+// without waiting on the other shards. That bound is also the fleet's
+// backpressure: a slow coordinator client stalls Merge, which stops
+// reading backend streams, which stalls backend emission through their
+// own credit gates.
 //
 // Failover is byte-offset resume: every backend stream is wrapped in a
 // fleetStream that counts consumed bytes; when a backend dies mid-stream
 // (read error — a clean EOF means the shard completed), the shard is
-// re-dispatched to the next live backend and the replacement stream's
-// first `consumed` bytes are discarded. Skipping by byte count is sound
-// for exactly one reason: shard streams are byte-identical across
+// re-dispatched to the next backend that takes it and the replacement
+// stream's first `consumed` bytes are discarded. Skipping by byte count is
+// sound for exactly one reason: shard streams are byte-identical across
 // backends, the repo-wide determinism contract.
 
-// healthy reports whether a backend answers GET /healthz with 200 within
-// the probe window. Draining backends answer 503 and are skipped — that
-// is the drain-aware half of graceful fleet shutdown.
-func (s *Server) healthy(ctx context.Context, backend string) bool {
-	if s.cfg.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.ShardTimeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := s.cfg.FleetClient.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
 // runFleet is a coordinator's record source: it fans the job's grid across
-// the healthy backends and hands each merged line to deliver. Called from
-// run() when Backends is set.
+// the configured backends and hands each merged line to deliver. Called
+// from run() when Backends is set.
 func (s *Server) runFleet(ctx context.Context, j *Job, deliver func(record) error) error {
-	h := s.cfg.Host
-	var live []string
-	for _, b := range s.cfg.Backends {
-		if s.healthy(ctx, b) {
-			live = append(live, b)
-			h.Info("backend probe", hostobs.Fields{Job: j.id, Trace: j.traceID, Backend: b, Detail: "healthy"})
-		} else {
-			h.Warn("backend probe", hostobs.Fields{Job: j.id, Trace: j.traceID, Backend: b, Detail: "unhealthy or draining; skipped"})
-		}
-	}
-	if len(live) == 0 {
-		return fmt.Errorf("fleet: none of %d backends are healthy", len(s.cfg.Backends))
-	}
-
-	// One sub-shard per healthy backend, never more shards than grid
+	backends := s.cfg.Backends
+	// One sub-shard per configured backend, never more shards than grid
 	// points. A job submitted to the coordinator with its own ?shard=i/n
 	// is already one slice of a larger partition, so it is forwarded whole
 	// to a single backend (failover still applies).
@@ -97,7 +67,7 @@ func (s *Server) runFleet(ctx context.Context, j *Job, deliver func(record) erro
 	if j.shard.Count > 1 {
 		shards = []sweep.Shard{j.shard}
 	} else {
-		n := min(len(live), j.gridSize())
+		n := min(len(backends), j.gridSize())
 		for i := 0; i < n; i++ {
 			shards = append(shards, sweep.Shard{Index: i, Count: n})
 		}
@@ -113,7 +83,7 @@ func (s *Server) runFleet(ctx context.Context, j *Job, deliver func(record) erro
 	for i, sh := range shards {
 		fs := &fleetStream{
 			s: s, j: j, ctx: ctx, body: j.body, shard: sh.String(), workers: j.workers,
-			backends: live, next: i % len(live),
+			backends: backends, next: i % len(backends),
 		}
 		// Dispatch now, sequentially: header-flushing backends make this
 		// return as soon as the shard is accepted, so dispatch latency is

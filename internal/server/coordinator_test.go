@@ -98,8 +98,9 @@ func TestFleetMergesByteIdentically(t *testing.T) {
 	}
 }
 
-// TestFleetSkipsDrainingBackend: a draining backend answers /healthz with
-// 503 and must receive no shards.
+// TestFleetSkipsDrainingBackend: a draining backend refuses the submit
+// with 503, and the dispatch rotation moves its shard to the healthy
+// backend, which then runs both shards.
 func TestFleetSkipsDrainingBackend(t *testing.T) {
 	_, single := newTestServer(t, Config{Workers: 2})
 	want := streamAll(t, single, submit(t, single, sweepSpecJSON(t), "").ID)
@@ -114,13 +115,17 @@ func TestFleetSkipsDrainingBackend(t *testing.T) {
 	if n := backends[1].metricsSnapshot().RecordsComputed; n != 0 {
 		t.Fatalf("draining backend computed %d records", n)
 	}
-	if d := coord.metricsSnapshot().Coordinator.Dispatches; d != 1 {
-		t.Fatalf("dispatches = %d, want 1 (everything on the healthy backend)", d)
+	if m := coord.metricsSnapshot().Coordinator; m.Dispatches != 2 || m.Retries != 1 {
+		t.Fatalf("dispatches=%d retries=%d, want 2/1 (one refusal, then both shards on the healthy backend)",
+			m.Dispatches, m.Retries)
+	}
+	if n := backends[0].metricsSnapshot().Jobs.Done; n != 2 {
+		t.Fatalf("healthy backend ran %d shard jobs, want 2", n)
 	}
 }
 
 // TestFleetNoHealthyBackendsFailsJob: with every backend down the job
-// fails cleanly instead of hanging.
+// fails cleanly, with the all-backends-refused error, instead of hanging.
 func TestFleetNoHealthyBackendsFailsJob(t *testing.T) {
 	_, coordTS, _, backendTS := newFleet(t, 1, Config{})
 	backendTS[0].Close()
@@ -133,8 +138,8 @@ func TestFleetNoHealthyBackendsFailsJob(t *testing.T) {
 	resp.Body.Close()
 	var got Status
 	getJSON(t, coordTS.URL+"/api/v1/jobs/"+st.ID, &got)
-	if got.State != StateFailed || !strings.Contains(got.Error, "healthy") {
-		t.Fatalf("job = %s (%q), want failed with no-healthy-backends error", got.State, got.Error)
+	if got.State != StateFailed || !strings.Contains(got.Error, "every backend refused") {
+		t.Fatalf("job = %s (%q), want failed with the every-backend-refused error", got.State, got.Error)
 	}
 }
 

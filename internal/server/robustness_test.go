@@ -49,6 +49,19 @@ func TestHealthzDrainsLivezStays(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "alive") {
 		t.Fatalf("livez during drain: %d %s, want 200 alive", code, body)
 	}
+	// A submit during the drain is refused and creates no job: this is
+	// how a fleet coordinator learns to move the shard on.
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(sweepSpecJSON(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit during drain: %d, want 503", resp.StatusCode)
+	}
+	if m := s.metricsSnapshot().Jobs; m != (Metrics{}).Jobs {
+		t.Fatalf("submit during drain created a job: %+v", m)
+	}
 }
 
 func probe(t *testing.T, url string) (int, string) {

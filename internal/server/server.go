@@ -89,9 +89,8 @@ type Config struct {
 	RetryBase time.Duration
 	RetryCap  time.Duration
 	// ShardTimeout is the per-attempt deadline. It preempts stalled
-	// injectable work (faultpoints, and in the coordinator, backend I/O);
-	// the simulation itself is bounded deterministically by the spec's
-	// max_cycles. Zero means no deadline.
+	// injectable work (faultpoints); the simulation itself is bounded
+	// deterministically by the spec's max_cycles. Zero means no deadline.
 	ShardTimeout time.Duration
 	// Sleep is the backoff sleep, injectable so tests run instantly.
 	// Defaults to time.Sleep.
@@ -257,9 +256,9 @@ type Server struct {
 	hostAllocs    atomic.Uint64
 	hostBytes     atomic.Uint64
 
-	// draining flips /healthz to 503 once shutdown begins so routers stop
-	// sending work; jobs canceled while draining skip the terminal journal
-	// entry and stay resumable.
+	// draining flips /healthz and submits to 503 once shutdown begins so
+	// routers stop sending work; jobs canceled while draining skip the
+	// terminal journal entry and stay resumable.
 	draining atomic.Bool
 
 	// baseCtx parents detached (aggregate-mode) jobs so Close cancels
@@ -462,6 +461,12 @@ func (j *Job) status() Status {
 // per-run traces of a campaign; a coordinator, which runs no simulation,
 // rejects it).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// A draining daemon takes no new work. A coordinator learns this from
+	// the refusal itself and rotates the shard to its next backend.
+	if s.draining.Load() {
+		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading spec: "+err.Error())
@@ -1186,8 +1191,9 @@ type healthStatus struct {
 }
 
 // handleHealthz is the readiness probe: 200 while accepting work, 503 once
-// draining so load balancers and the fleet coordinator stop routing new
-// shards here while in-flight streams finish.
+// draining so load balancers stop routing new work here while in-flight
+// streams finish. (A fleet coordinator does not probe: the draining
+// daemon's submit refuses its shard.)
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	replay := s.replay
@@ -1205,16 +1211,13 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "alive"})
 }
 
-// BeginDrain flips /healthz to 503. Call it before http.Server.Shutdown;
-// jobs canceled after this point skip their terminal journal entry and
-// stay resumable.
+// BeginDrain flips /healthz and new submits to 503. Call it before
+// http.Server.Shutdown; jobs canceled after this point skip their terminal
+// journal entry and stay resumable.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
-	s.cfg.Host.Warn("drain begun", hostobs.Fields{Detail: "healthz=503; in-flight streams finishing"})
+	s.cfg.Host.Warn("drain begun", hostobs.Fields{Detail: "healthz=503, submits refused; in-flight streams finishing"})
 }
-
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Metrics is the one metrics registry: a single snapshot struct that both
 // the JSON payload and the Prometheus text exposition (prom.go) render

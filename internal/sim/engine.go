@@ -399,12 +399,6 @@ func (e *Engine) Pending() int { return len(e.events) }
 // seconds.
 func (e *Engine) Elapsed() float64 { return float64(e.now) / float64(e.freq) }
 
-// CyclesToSeconds converts a cycle count to simulated seconds at the engine
-// frequency.
-func (e *Engine) CyclesToSeconds(cycles uint64) float64 {
-	return float64(cycles) / float64(e.freq)
-}
-
 // ThroughputMbps converts "bits moved in cycles" into megabits per second
 // at the engine frequency. It returns +Inf for zero cycles so callers can
 // detect degenerate measurements.

@@ -37,14 +37,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Uint32n returns a pseudo-random uint32 in [0, n). It panics if n == 0.
-func (r *RNG) Uint32n(n uint32) uint32 {
-	if n == 0 {
-		panic("sim: Uint32n(0)")
-	}
-	return uint32(r.Uint64() % uint64(n))
-}
-
 // Float64 returns a pseudo-random float in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

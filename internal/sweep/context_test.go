@@ -130,3 +130,35 @@ func TestEachContextCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestStreamDoesNotStarveEmitter: with one processor and points that never
+// block, the reorder loop still emits each record soon after it is next in
+// grid order — record i before point i+3 starts — instead of when the
+// workers run out of credits and block. Not parallel: it sets GOMAXPROCS.
+func TestStreamDoesNotStarveEmitter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 8
+	var seq atomic.Int64
+	var started, emitted, work [n]int64
+	err := sweep.Stream(n, sweep.Shard{}, nil, 2, func(i int) int {
+		started[i] = seq.Add(1)
+		x := int64(i)
+		for k := 0; k < 200_000; k++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+		work[i] = x // keeps the spin live
+		return i
+	}, func(i int) error {
+		emitted[i] = seq.Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+3 < n; i++ {
+		if emitted[i] > started[i+3] {
+			t.Errorf("record %d emitted at step %d, after point %d started at step %d (starts %v, emits %v)",
+				i, emitted[i], i+3, started[i+3], started, emitted)
+		}
+	}
+}

@@ -1,12 +1,13 @@
-package sweep_test
+package sweep
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"slices"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
 // firstIndex reads a line's first key and its value the way the merge
@@ -26,19 +27,113 @@ func firstIndex(line []byte) (int, bool) {
 	return idx, true
 }
 
-// FuzzMerge merges two shard streams. Merge must never panic, and when it
-// accepts its input its output must be exactly the input's non-empty
-// lines, trimmed, ordered by grid index, with the indices 0..N-1 in order
-// and every line valid JSON. Plain go test replays the seed corpus in
-// testdata/fuzz/FuzzMerge: real records, a duplicate index, an
-// out-of-order pair, a gap, a torn last line and a line whose first key is
-// not index.
+// refStream and refMerge are the priming k-way merge that Merge replaced,
+// kept as FuzzMerge's reference: it reads one line from every shard before
+// it writes anything, and after each write reads that shard's next line
+// before it looks at the lines it already holds.
+type refStream struct {
+	id   int
+	sc   *bufio.Scanner
+	idx  int
+	line []byte
+	done bool
+}
+
+func (s *refStream) advance() error {
+	for s.sc.Scan() {
+		raw := bytes.TrimSpace(s.sc.Bytes())
+		if len(raw) == 0 {
+			continue
+		}
+		idx, ok := lineIndex(raw)
+		if !ok {
+			return fmt.Errorf("shard %d: line without a grid index", s.id)
+		}
+		if s.line != nil && idx <= s.idx {
+			return fmt.Errorf("shard %d: indices not strictly ascending", s.id)
+		}
+		s.idx = idx
+		s.line = append(s.line[:0], raw...)
+		return nil
+	}
+	if err := s.sc.Err(); err != nil {
+		return err
+	}
+	s.done = true
+	return nil
+}
+
+func refMerge(w io.Writer, shards ...io.Reader) error {
+	streams := make([]*refStream, 0, len(shards))
+	for i, r := range shards {
+		sc := bufio.NewScanner(r)
+		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+		s := &refStream{id: i, sc: sc}
+		if err := s.advance(); err != nil {
+			return err
+		}
+		if !s.done {
+			streams = append(streams, s)
+		}
+	}
+	next := 0
+	for len(streams) > 0 {
+		min := 0
+		for i, s := range streams[1:] {
+			if s.idx < streams[min].idx {
+				min = i + 1
+			}
+		}
+		s := streams[min]
+		if s.idx < next {
+			return fmt.Errorf("duplicate grid index %d", s.idx)
+		}
+		if s.idx > next {
+			return fmt.Errorf("grid index %d missing", next)
+		}
+		next++
+		if _, err := w.Write(append(s.line, '\n')); err != nil {
+			return err
+		}
+		if err := s.advance(); err != nil {
+			return err
+		}
+		if s.done {
+			streams = append(streams[:min], streams[min+1:]...)
+		}
+	}
+	return nil
+}
+
+// FuzzMerge merges two shard streams. Merge must never panic, must accept
+// exactly what the priming reference accepts and then write the same
+// bytes, and when it accepts its input its output must be exactly the
+// input's non-empty lines, trimmed, ordered by grid index, with the
+// indices 0..N-1 in order and every line valid JSON. Plain go test replays
+// the seeds below and the corpus in testdata/fuzz/FuzzMerge: real records,
+// a duplicate index, an out-of-order pair, a gap, a torn last line and a
+// line whose first key is not index.
 func FuzzMerge(f *testing.F) {
 	f.Add([]byte("{\"index\":0}\n{\"index\":2}\n"), []byte("{\"index\":1}\n"))
+	// A gap found only at the end: every index up to 4 merges before 5
+	// turns out to be missing.
+	f.Add([]byte("{\"index\":0}\n{\"index\":2}\n{\"index\":4}\n"), []byte("{\"index\":1}\n{\"index\":3}\n{\"index\":6}\n"))
+	// A duplicate across shards past the first line.
+	f.Add([]byte("{\"index\":0}\n{\"index\":1}\n"), []byte("{\"index\":1}\n{\"index\":2}\n"))
+	// An empty second shard.
+	f.Add([]byte("{\"index\":0}\n{\"index\":1}\n"), []byte(""))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		var out bytes.Buffer
-		if err := sweep.Merge(&out, bytes.NewReader(a), bytes.NewReader(b)); err != nil {
+		var out, ref bytes.Buffer
+		err := Merge(&out, bytes.NewReader(a), bytes.NewReader(b))
+		refErr := refMerge(&ref, bytes.NewReader(a), bytes.NewReader(b))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Merge = %v, reference = %v", err, refErr)
+		}
+		if err != nil {
 			return
+		}
+		if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+			t.Fatalf("Merge wrote %q, reference %q", out.Bytes(), ref.Bytes())
 		}
 		var want [][]byte
 		for _, in := range [][]byte{a, b} {

@@ -90,6 +90,10 @@ func Stream[R any](n int, sh Shard, weights []float64, workers int, run func(i i
 // emit already failed — the first cause wins). This is what lets a serving
 // process abandon a grid the moment its client disconnects without
 // leaking workers or records.
+//
+// A record leaves as soon as it is next in grid order: a worker that hands
+// a result over lets the reorder loop run before it starts its next point,
+// so emission does not wait until the credits run out.
 func StreamContext[R any](ctx context.Context, n int, sh Shard, weights []float64, workers int, run func(i int) R, emit func(R) error) error {
 	if err := sh.Validate(); err != nil {
 		return err
@@ -128,6 +132,12 @@ func StreamContext[R any](ctx context.Context, n int, sh Shard, weights []float6
 			defer wg.Done()
 			for i := range jobs {
 				results <- indexed[R]{i: i, r: run(i)}
+				// The send readies the reorder loop on this worker's
+				// processor, where it would wait until some worker
+				// blocks (with every processor busy, when the credits
+				// run out), so records would leave in bursts. Yield
+				// once so it emits before this worker's next point.
+				runtime.Gosched()
 			}
 		}()
 	}

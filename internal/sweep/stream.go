@@ -110,12 +110,14 @@ func writeCSVRows(cw *csv.Writer, r RunResult) error {
 }
 
 // shardStream is one shard's JSONL stream during a merge: a scanner plus
-// the current (not yet written) line and its parsed grid index.
+// the last line read, its parsed grid index, and whether that line still
+// waits to be written.
 type shardStream struct {
 	id   int
 	sc   *bufio.Scanner
 	idx  int
-	line []byte
+	line []byte // nil until the first line is read
+	held bool
 	done bool
 }
 
@@ -130,11 +132,11 @@ func (s *shardStream) advance() error {
 		if !ok {
 			return fmt.Errorf("sweep: shard %d: line without a grid index: %.80s", s.id, raw)
 		}
-		if !s.done && s.line != nil && idx <= s.idx {
+		if s.line != nil && idx <= s.idx {
 			return fmt.Errorf("sweep: shard %d: indices not strictly ascending (%d after %d)",
 				s.id, idx, s.idx)
 		}
-		s.idx = idx
+		s.idx, s.held = idx, true
 		s.line = append(s.line[:0], raw...)
 		return nil
 	}
@@ -173,53 +175,55 @@ func lineIndex(raw []byte) (idx int, ok bool) {
 
 // Merge recombines shard JSONL streams into the exact stream an unsharded
 // single-process sweep would have written: lines pass through byte-for-byte,
-// k-way merged on their global grid index. Each input must be ascending in
-// index (every stream WriteJSONL produces is), so only one buffered line
-// per shard is held — merging stays streaming no matter how large the
-// grid. Every line must be valid JSON whose first key is its "index", as
-// every record's is. Duplicate indices across shards are an error
-// (overlapping shards), and so is any gap in the merged sequence: the
-// shards of a full partition cover indices 0..N-1 contiguously, so a hole
-// means a shard is missing and the output would be a silently incomplete
-// dataset.
+// merged on their global grid index. Each input must be ascending in index
+// (every stream WriteJSONL produces is), so Merge holds at most one read
+// line per shard — merging stays streaming no matter how large the grid —
+// and writes a line the moment it holds the next grid index: it reads a
+// shard (the lowest-numbered one holding no line) only while none of the
+// lines it holds is that index, so a coordinator's first line does not
+// wait for every backend's first record. Every line must be valid JSON
+// whose first key is its "index", as every record's is. Duplicate indices
+// across shards are an error (overlapping shards), and so is any gap in
+// the merged sequence: the shards of a full partition cover indices
+// 0..N-1 contiguously, so a hole means a shard is missing and the output
+// would be a silently incomplete dataset. A refusal can come after lines
+// already written.
 func Merge(w io.Writer, shards ...io.Reader) error {
-	streams := make([]*shardStream, 0, len(shards))
+	streams := make([]*shardStream, len(shards))
 	for i, r := range shards {
 		sc := bufio.NewScanner(r)
 		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		s := &shardStream{id: i, sc: sc}
-		if err := s.advance(); err != nil {
-			return err
-		}
-		if !s.done {
-			streams = append(streams, s)
-		}
+		streams[i] = &shardStream{id: i, sc: sc}
 	}
-	next := 0
-	for len(streams) > 0 {
-		min := 0
-		for i, s := range streams[1:] {
-			if s.idx < streams[min].idx {
-				min = i + 1
+	for next := 0; ; {
+		var ready, idle, ahead *shardStream
+		for _, s := range streams {
+			switch {
+			case s.held && s.idx < next:
+				return fmt.Errorf("sweep: duplicate grid index %d across shards", s.idx)
+			case s.held && s.idx == next:
+				ready = s
+			case s.held:
+				ahead = s
+			case !s.done && idle == nil:
+				idle = s
 			}
 		}
-		s := streams[min]
-		if s.idx < next {
-			return fmt.Errorf("sweep: duplicate grid index %d across shards", s.idx)
-		}
-		if s.idx > next {
+		switch {
+		case ready != nil:
+			next++
+			ready.held = false
+			if _, err := w.Write(append(ready.line, '\n')); err != nil {
+				return err
+			}
+		case idle != nil:
+			if err := idle.advance(); err != nil {
+				return err
+			}
+		case ahead != nil:
 			return fmt.Errorf("sweep: grid index %d missing from merge inputs (is a shard file absent?)", next)
-		}
-		next++
-		if _, err := w.Write(append(s.line, '\n')); err != nil {
-			return err
-		}
-		if err := s.advance(); err != nil {
-			return err
-		}
-		if s.done {
-			streams = append(streams[:min], streams[min+1:]...)
+		default:
+			return nil
 		}
 	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -164,6 +165,36 @@ func TestMergeRejectsMissingShard(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), full) {
 		t.Fatal("identity merge altered the stream")
+	}
+}
+
+// lineGate is a shard stream that fails the test when it is read before
+// the merge has written anything.
+type lineGate struct {
+	t   *testing.T
+	out *bytes.Buffer
+	r   io.Reader
+}
+
+func (g *lineGate) Read(p []byte) (int, error) {
+	if g.out.Len() == 0 {
+		g.t.Error("shard 1 read before line 0 reached the writer")
+	}
+	return g.r.Read(p)
+}
+
+// TestMergeWritesEarly: Merge writes a line as soon as it holds the next
+// grid index. Line 0 must not wait on a shard that cannot supply it — on
+// a coordinator that shard is a backend still computing a slower point.
+func TestMergeWritesEarly(t *testing.T) {
+	var out bytes.Buffer
+	s0 := strings.NewReader("{\"index\":0}\n{\"index\":2}\n")
+	s1 := &lineGate{t: t, out: &out, r: strings.NewReader("{\"index\":1}\n")}
+	if err := sweep.Merge(&out, s0, s1); err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\"index\":0}\n{\"index\":1}\n{\"index\":2}\n"; out.String() != want {
+		t.Fatalf("merged %q, want %q", out.String(), want)
 	}
 }
 
