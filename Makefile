@@ -201,13 +201,13 @@ chaos:
 # external-memory benign background load, with the reaction-and-recovery
 # phase armed: the third table prices react latency, quarantine duration
 # and recovery back to twin throughput. The clear delay outlasts the
-# quarantined burst's drain so releases land on a clean platform.
+# quarantined burst's drain so releases land on a clean platform. The grid
+# is testdata/attack.json, the file TestPaperGolden renders into
+# testdata/paper.golden, so the two cannot pin different grids.
 attack:
 	@mkdir -p $(BUILD)
 	$(GO) build -o $(BUILD)/mpsocsim ./cmd/mpsocsim
-	$(BUILD)/mpsocsim -attack -format table \
-		-attack-backgrounds stream,secure-scrub,cipher-mix \
-		-accesses 512 -recovery -recovery-clear-delay 8000
+	$(BUILD)/mpsocsim -spec testdata/attack.json -format table
 
 # The repository-level benchmarks of the suite: the engine (busy,
 # stall-heavy, and one busy core beside two stalled ones), the secured

@@ -1,302 +1,23 @@
 package repro_test
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 
-	"repro/internal/aes"
-	"repro/internal/area"
-	"repro/internal/attack"
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/hashtree"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/sim"
 	"repro/internal/soc"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// Each benchmark regenerates one artifact of the paper's evaluation, or
-// quantifies one of its prose claims as experiments E1–E5 (each named and
-// stated in its benchmark's comment below). The rendered tables print once
-// per process; the timed loop repeats the underlying simulation so
-// -benchmem reflects its real cost.
-
-var printOnce sync.Map
-
-func printTable(b *testing.B, key, text string) {
-	b.Helper()
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		fmt.Printf("\n%s\n", text)
-	}
-}
-
-// BenchmarkTable1AreaSynthesis regenerates Table I: synthesis results of
-// the multiprocessor system with and without firewalls, plus the
-// per-module breakdown.
-func BenchmarkTable1AreaSynthesis(b *testing.B) {
-	var with, without area.Resources
-	for i := 0; i < b.N; i++ {
-		without = area.BaseSystem(3).Total()
-		with = area.PaperProtected().Total()
-	}
-	printTable(b, "t1", area.RenderTable1())
-	b.ReportMetric(float64(with.Regs-without.Regs), "extra-regs")
-	b.ReportMetric(float64(with.LUTs-without.LUTs), "extra-luts")
-	b.ReportMetric(float64(with.BRAM-without.BRAM), "extra-bram")
-}
-
-// BenchmarkTable2ModuleLatency regenerates Table II: per-module latency
-// and throughput of the firewall pipeline. The SB figure is *measured* by
-// timing a discarded transfer through a Local Firewall; CC and IC figures
-// come from the hardware timing descriptors and are cross-checked against
-// a live LCF access.
-func BenchmarkTable2ModuleLatency(b *testing.B) {
-	freq := sim.DefaultFrequency
-	var sbMeasured uint64
-	for i := 0; i < b.N; i++ {
-		// Measure the Security Builder: a blocked access costs exactly
-		// the rule-check latency and nothing else.
-		eng := sim.NewEngine(freq)
-		bs := bus.New(eng, bus.Config{})
-		bs.AddSlave(mem.NewBRAM("bram", 0x1000_0000, 0x1000))
-		lf := core.NewLocalFirewall(eng, "lf", bs.NewMaster("m"),
-			core.MustConfig(core.Policy{SPI: 1, Zone: core.Zone{Base: 0x1000_0000, Size: 0x1000},
-				RWA: core.ReadOnly, ADF: core.AnyWidth}), core.NewAlertLog())
-		tx := &bus.Transaction{Op: bus.Write, Addr: 0x1000_0000, Size: 4, Burst: 1, Data: []uint32{1}}
-		done := false
-		lf.Submit(tx, func(*bus.Transaction) { done = true })
-		eng.RunUntil(func() bool { return done }, 1000)
-		sbMeasured = tx.Completed - tx.Issued
-	}
-	cc := aes.DefaultTiming
-	ic := hashtree.DefaultTiming
-	tb := trace.NewTable("Table II — latency results of the firewalls (measured)",
-		"module", "nb. of clk cycles", "throughput (Mb/s)")
-	tb.AddRow("SB (LF/LCF)", fmt.Sprintf("%d", sbMeasured), "-")
-	tb.AddRow("CC", fmt.Sprintf("%d", cc.Latency), fmt.Sprintf("%.0f", cc.ThroughputMbps(uint64(freq))))
-	tb.AddRow("IC", fmt.Sprintf("%d", ic.Latency), fmt.Sprintf("%.0f", ic.ThroughputMbps(uint64(freq))))
-	printTable(b, "t2", tb.String())
-	b.ReportMetric(float64(sbMeasured), "SB-cycles")
-	b.ReportMetric(float64(cc.Latency), "CC-cycles")
-	b.ReportMetric(cc.ThroughputMbps(uint64(freq)), "CC-Mbps")
-	b.ReportMetric(float64(ic.Latency), "IC-cycles")
-	b.ReportMetric(ic.ThroughputMbps(uint64(freq)), "IC-Mbps")
-}
-
-// BenchmarkFigure1Topology regenerates Figure 1: the distributed
-// architecture with its security enhancements, as the executable platform
-// topology.
-func BenchmarkFigure1Topology(b *testing.B) {
-	var topo string
-	for i := 0; i < b.N; i++ {
-		s := soc.MustNew(soc.Config{Protection: soc.Distributed})
-		topo = s.Topology()
-	}
-	printTable(b, "f1", topo)
-}
-
-// BenchmarkOverheadVsCommRatio is experiment E1: the paper's §V claim that
-// the protection overhead depends on the computation/communication ratio
-// and on the internal-vs-external traffic split.
-func BenchmarkOverheadVsCommRatio(b *testing.B) {
-	type point struct {
-		target string
-		ratio  int
-		pct    float64
-	}
-	var pts []point
-	run := func(p soc.Protection, target uint32, span uint32, iters int) uint64 {
-		s := soc.MustNew(soc.Config{Protection: p})
-		s.HaltIdleCores(0)
-		s.MustLoad(0, workload.Mix(target, span, 4, 100, iters))
-		c, ok := s.Run(100_000_000)
-		if !ok {
-			b.Fatal("workload did not finish")
-		}
-		return c
-	}
-	for i := 0; i < b.N; i++ {
-		pts = pts[:0]
-		for _, tgt := range []struct {
-			name string
-			base uint32
-			span uint32
-		}{
-			{"internal (bram)", soc.BRAMBase, 0x1000},
-			{"external (secure ddr)", soc.SecureBase, 0x1000},
-		} {
-			for _, iters := range []int{0, 4, 16, 64, 256} {
-				plain := run(soc.Unprotected, tgt.base, tgt.span, iters)
-				prot := run(soc.Distributed, tgt.base, tgt.span, iters)
-				pts = append(pts, point{tgt.name, iters,
-					(float64(prot) - float64(plain)) / float64(plain) * 100})
-			}
-		}
-	}
-	tb := trace.NewTable("E1 — execution-time overhead of the firewalls vs computation:communication ratio",
-		"traffic", "compute iters per access", "overhead")
-	for _, p := range pts {
-		tb.AddRow(p.target, fmt.Sprintf("%d", p.ratio), fmt.Sprintf("%+.1f%%", p.pct))
-	}
-	printTable(b, "e1", tb.String())
-	if len(pts) > 0 {
-		b.ReportMetric(pts[0].pct, "worst-internal-%")
-		b.ReportMetric(pts[5].pct, "worst-external-%")
-	}
-}
-
-// BenchmarkAreaVsRuleCount is experiment E2: firewall area as a function
-// of the number of monitored security rules (the paper's stated future
-// work and its "more aggressive policy costs more area" remark).
-func BenchmarkAreaVsRuleCount(b *testing.B) {
-	var last area.Resources
-	tb := trace.NewTable("E2 — Local Firewall area vs number of security rules",
-		"rules", "Slice LUTs", "platform Slice LUTs (5 LFs)")
-	for i := 0; i < b.N; i++ {
-		tb = trace.NewTable("E2 — Local Firewall area vs number of security rules",
-			"rules", "Slice LUTs", "platform Slice LUTs (5 LFs)")
-		for _, rules := range []int{1, 2, 4, 6, 8, 16, 32, 64} {
-			lf := area.LocalFirewall(rules)
-			platform := area.BaseSystem(3).Total().
-				Add(lf.Scale(5)).
-				Add(area.InterfaceAdapter().Scale(5)).
-				Add(area.LCF(area.CalibSBRules, area.CalibICBits)).
-				Add(area.SecurityController())
-			tb.AddRow(fmt.Sprintf("%d", rules), trace.Comma(lf.LUTs), trace.Comma(platform.LUTs))
-			last = lf
-		}
-	}
-	printTable(b, "e2", tb.String())
-	b.ReportMetric(float64(last.LUTs), "lf-luts-at-64-rules")
-}
-
-// BenchmarkAttackContainment is experiment E3: a hijacked IP floods the
-// bus; the victim's slowdown quantifies §III-C's containment requirement
-// ("the attack must not reach the communication architecture").
-func BenchmarkAttackContainment(b *testing.B) {
-	var rows [3]attack.Outcome
-	for i := 0; i < b.N; i++ {
-		rows[0] = attack.DoS(soc.Unprotected)
-		rows[1] = attack.DoS(soc.Distributed)
-		rows[2] = attack.DoS(soc.Centralized)
-	}
-	tb := trace.NewTable("E3 — DoS flood containment (victim: 512-word BRAM stream)",
-		"protection", "victim slowdown", "flood bus share", "detected", "contained")
-	for _, r := range rows {
-		tb.AddRow(r.Protection.String(),
-			fmt.Sprintf("%.2fx", r.Slowdown()),
-			fmt.Sprintf("%.0f%%", r.FloodBusShare*100),
-			fmt.Sprintf("%v", r.Detected),
-			fmt.Sprintf("%v", r.Contained))
-	}
-	printTable(b, "e3", tb.String())
-	b.ReportMetric(rows[0].Slowdown(), "unprotected-slowdown")
-	b.ReportMetric(rows[1].Slowdown(), "distributed-slowdown")
-	b.ReportMetric(rows[2].Slowdown(), "centralized-slowdown")
-}
-
-// BenchmarkThreatCoverage is experiment E4: the full §III threat model run
-// against all three architectures.
-func BenchmarkThreatCoverage(b *testing.B) {
-	var outs map[soc.Protection][]attack.Outcome
-	for i := 0; i < b.N; i++ {
-		outs = map[soc.Protection][]attack.Outcome{
-			soc.Unprotected: attack.All(soc.Unprotected),
-			soc.Distributed: attack.All(soc.Distributed),
-			soc.Centralized: attack.All(soc.Centralized),
-		}
-	}
-	tb := trace.NewTable("E4 — threat-model coverage (detected/contained per scenario)",
-		"scenario", "unprotected", "centralized-sem", "distributed-firewalls")
-	fmtCell := func(o attack.Outcome) string {
-		return fmt.Sprintf("det=%v cont=%v", o.Detected, o.Contained)
-	}
-	for i := range outs[soc.Distributed] {
-		tb.AddRow(outs[soc.Distributed][i].Scenario,
-			fmtCell(outs[soc.Unprotected][i]),
-			fmtCell(outs[soc.Centralized][i]),
-			fmtCell(outs[soc.Distributed][i]))
-	}
-	printTable(b, "e4", tb.String())
-	detected := 0
-	for _, o := range outs[soc.Distributed] {
-		if o.Detected && o.Contained {
-			detected++
-		}
-	}
-	b.ReportMetric(float64(detected), "distributed-stopped-of-7")
-}
-
-// BenchmarkDistributedVsCentralized is experiment E5: per-access cost and
-// serialization of the distributed scheme versus the SECA-style global
-// SEM, under one and three active masters.
-func BenchmarkDistributedVsCentralized(b *testing.B) {
-	type res struct {
-		cycles1 uint64 // 1 active core
-		cycles3 uint64 // 3 active cores
-	}
-	measure := func(p soc.Protection) res {
-		one := soc.MustNew(soc.Config{Protection: p})
-		one.HaltIdleCores(0)
-		one.MustLoad(0, workload.Mix(soc.BRAMBase, 0x1000, 4, 100, 0))
-		c1, ok := one.Run(100_000_000)
-		if !ok {
-			b.Fatal("1-core run stuck")
-		}
-		three := soc.MustNew(soc.Config{Protection: p})
-		for i := 0; i < 3; i++ {
-			three.MustLoad(i, workload.Mix(soc.BRAMBase+uint32(i)*0x1000, 0x1000, 4, 100, 0))
-		}
-		c3, ok := three.Run(100_000_000)
-		if !ok {
-			b.Fatal("3-core run stuck")
-		}
-		return res{c1, c3}
-	}
-	var un, di, ce res
-	for i := 0; i < b.N; i++ {
-		un = measure(soc.Unprotected)
-		di = measure(soc.Distributed)
-		ce = measure(soc.Centralized)
-	}
-	tb := trace.NewTable("E5 — distributed vs centralized check cost (100 accesses/core)",
-		"protection", "1 core (cycles)", "3 cores (cycles)", "3-core scaling")
-	for _, r := range []struct {
-		name string
-		v    res
-	}{{"unprotected", un}, {"distributed-firewalls", di}, {"centralized-sem", ce}} {
-		tb.AddRow(r.name,
-			trace.Comma(r.v.cycles1), trace.Comma(r.v.cycles3),
-			fmt.Sprintf("%.2fx", float64(r.v.cycles3)/float64(r.v.cycles1)))
-	}
-	printTable(b, "e5", tb.String())
-	b.ReportMetric(float64(di.cycles3)/float64(un.cycles3), "distributed-overhead-3core")
-	b.ReportMetric(float64(ce.cycles3)/float64(un.cycles3), "centralized-overhead-3core")
-}
-
-// BenchmarkLCFSecureAccess measures the end-to-end cost of one secured
-// external-memory word access (SB + DDR + CC + IC), the number behind the
-// paper's advice to favor internal communication.
-func BenchmarkLCFSecureAccess(b *testing.B) {
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		s := soc.MustNew(soc.Config{Protection: soc.Distributed})
-		s.HaltIdleCores()
-		m := s.Bus.NewMaster("probe")
-		tx := &bus.Transaction{Op: bus.Read, Addr: soc.SecureBase, Size: 4, Burst: 1}
-		done := false
-		m.Submit(tx, func(*bus.Transaction) { done = true })
-		s.Eng.RunUntil(func() bool { return done }, 100000)
-		cycles = tx.Completed - tx.Issued
-	}
-	b.ReportMetric(float64(cycles), "cycles/secure-read")
-}
+// These are the repository-level benchmarks of the suite (BENCH_TOP in the
+// Makefile): host speed of the engine, the secured memory path and the
+// per-record platform build. The simulated numbers of the paper's
+// evaluation are pinned by TestPaperGolden (paper_test.go).
 
 // BenchmarkSecureMemoryThroughput is the tracked headline number for the
 // secured off-chip path: host-side bytes/s through the full CC+IC pipeline
@@ -458,207 +179,4 @@ func BenchmarkPlatformBuild(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- Ablations: one modeling choice of this reproduction at a time. ---
-
-// BenchmarkAblationTreeCache sweeps the LCF's verified-node cache and
-// measures the average secure-zone read cost over a 64-read walk: the
-// cache turns deep cold verifies into near-constant checks.
-func BenchmarkAblationTreeCache(b *testing.B) {
-	measure := func(cacheSize int) float64 {
-		s := soc.MustNew(soc.Config{Protection: soc.Distributed, TreeCacheSize: cacheSize})
-		s.HaltIdleCores()
-		m := s.Bus.NewMaster("probe")
-		var total uint64
-		const reads = 64
-		for i := 0; i < reads; i++ {
-			tx := &bus.Transaction{Op: bus.Read, Addr: soc.SecureBase + uint32(i%16)*64, Size: 4, Burst: 1}
-			done := false
-			m.Submit(tx, func(*bus.Transaction) { done = true })
-			s.Eng.RunUntil(func() bool { return done }, 1_000_000)
-			total += tx.Completed - tx.Issued
-		}
-		return float64(total) / reads
-	}
-	var rows [][2]float64
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, size := range []int{-1, 16, 64, 256} {
-			rows = append(rows, [2]float64{float64(size), measure(size)})
-		}
-	}
-	tb := trace.NewTable("Ablation — verified-node cache vs secure read cost (64 reads over 16 leaves)",
-		"cache entries", "avg read (cycles)")
-	for _, r := range rows {
-		label := fmt.Sprintf("%.0f", r[0])
-		if r[0] < 0 {
-			label = "disabled"
-		}
-		tb.AddRow(label, fmt.Sprintf("%.0f", r[1]))
-	}
-	printTable(b, "ab-cache", tb.String())
-	b.ReportMetric(rows[0][1], "cycles-no-cache")
-	b.ReportMetric(rows[2][1], "cycles-cache64")
-}
-
-// BenchmarkAblationArbitration compares round-robin and fixed-priority
-// arbitration under a saturating flood from a higher-priority master: a
-// hog with a deep queue of DDR writes vs a victim issuing dependent BRAM
-// reads. A CPU cannot keep the queue deep (one outstanding access), so
-// this uses raw masters; it isolates the fairness property of the
-// arbiter the protected platform relies on.
-func BenchmarkAblationArbitration(b *testing.B) {
-	measure := func(arb bus.Arbitration) uint64 {
-		eng := sim.NewEngine(sim.DefaultFrequency)
-		bs := bus.New(eng, bus.Config{Arbitration: arb})
-		bs.AddSlave(mem.NewBRAM("bram", 0x1000_0000, 0x1000))
-		bs.AddSlave(mem.NewDDR("ddr", 0x4000_0000, 0x1000))
-		hog := bs.NewMaster("hog")       // index 0: favored by fixed priority
-		victim := bs.NewMaster("victim") // index 1
-		for i := 0; i < 300; i++ {
-			hog.Submit(&bus.Transaction{Op: bus.Write, Addr: 0x4000_0000, Size: 4, Burst: 1,
-				Data: []uint32{0}}, nil)
-		}
-		var lastDone uint64
-		remaining := 64
-		var issue func()
-		issue = func() {
-			victim.Submit(&bus.Transaction{Op: bus.Read, Addr: 0x1000_0000, Size: 4, Burst: 1},
-				func(tx *bus.Transaction) {
-					lastDone = tx.Completed
-					remaining--
-					if remaining > 0 {
-						issue()
-					}
-				})
-		}
-		issue()
-		eng.RunUntil(func() bool { return remaining == 0 }, 5_000_000)
-		return lastDone
-	}
-	var rr, fp uint64
-	for i := 0; i < b.N; i++ {
-		rr = measure(bus.RoundRobin)
-		fp = measure(bus.FixedPriority)
-	}
-	tb := trace.NewTable("Ablation — arbitration under a deep-queue flood (victim: 64 dependent BRAM reads)",
-		"arbitration", "victim finish (cycle)")
-	tb.AddRow("round-robin", trace.Comma(rr))
-	tb.AddRow("fixed-priority (hog favored)", trace.Comma(fp))
-	printTable(b, "ab-arb", tb.String())
-	b.ReportMetric(float64(rr), "roundrobin-cycles")
-	b.ReportMetric(float64(fp), "fixedpri-cycles")
-}
-
-// BenchmarkAblationCheckCycles sweeps the Security Builder latency: how
-// sensitive is the workload overhead to the paper's 12-cycle rule check?
-func BenchmarkAblationCheckCycles(b *testing.B) {
-	measure := func(check uint64) uint64 {
-		s := soc.MustNew(soc.Config{Protection: soc.Distributed, CheckCycles: check})
-		s.HaltIdleCores(0)
-		s.MustLoad(0, workload.Mix(soc.BRAMBase, 0x1000, 4, 100, 0))
-		cycles, _ := s.Run(50_000_000)
-		return cycles
-	}
-	type row struct {
-		check  uint64
-		cycles uint64
-	}
-	var rows []row
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, check := range []uint64{1, 6, 12, 24, 48} {
-			rows = append(rows, row{check, measure(check)})
-		}
-	}
-	tb := trace.NewTable("Ablation — SB check latency vs workload cost (100 internal accesses)",
-		"SB cycles", "workload cycles")
-	for _, r := range rows {
-		tb.AddRow(fmt.Sprintf("%d", r.check), trace.Comma(r.cycles))
-	}
-	printTable(b, "ab-check", tb.String())
-	b.ReportMetric(float64(rows[2].cycles), "cycles-at-12")
-}
-
-// BenchmarkAblationQuarantine measures the reaction controller: a hijacked
-// core makes a few violations and then floods a zone it is *allowed* to
-// use. Without the reactor the legal-looking flood contends with the
-// victim forever; with it, the earlier violations cost the attacker its
-// bus access entirely.
-func BenchmarkAblationQuarantine(b *testing.B) {
-	attackerProgram := fmt.Sprintf(`
-		li r1, 0x70000000
-		sw r0, 0(r1)          ; violation 1
-		sw r0, 4(r1)          ; violation 2
-		sw r0, 8(r1)          ; violation 3
-		li r1, %#x
-	flood:
-		sw r0, 0(r1)          ; legal-zone flood (contention attack)
-		b flood
-	`, soc.PlainBase)
-	measure := func(threshold int) uint64 {
-		s := soc.MustNew(soc.Config{Protection: soc.Distributed, QuarantineThreshold: threshold})
-		s.HaltIdleCores(0, 2)
-		s.MustLoad(0, workload.Stream(soc.PlainBase+0x8000, 128, 4, 0))
-		s.MustLoad(2, attackerProgram)
-		victimDone := func() bool { h, _ := s.Cores[0].Halted(); return h }
-		cycles, _ := s.Eng.RunUntil(victimDone, 50_000_000)
-		return cycles
-	}
-	var off, on uint64
-	for i := 0; i < b.N; i++ {
-		off = measure(0) // reactor disabled
-		on = measure(3)
-	}
-	tb := trace.NewTable("Ablation — quarantine reactor vs legal-zone flood after violations",
-		"reactor", "victim cycles")
-	tb.AddRow("disabled", trace.Comma(off))
-	tb.AddRow("threshold 3", trace.Comma(on))
-	printTable(b, "ab-quar", tb.String())
-	b.ReportMetric(float64(off)/float64(on), "speedup")
-}
-
-// BenchmarkScalingWithCoreCount (E6) sweeps the processor count: the
-// distributed scheme's per-interface checks scale with the platform while
-// the centralized SEM becomes the serial bottleneck — the architectural
-// argument of the paper quantified beyond its 3-core case study.
-func BenchmarkScalingWithCoreCount(b *testing.B) {
-	measure := func(p soc.Protection, n int) uint64 {
-		s := soc.MustNew(soc.Config{Protection: p, NumCores: n})
-		for i := 0; i < n; i++ {
-			s.MustLoad(i, workload.Mix(soc.BRAMBase+uint32(i)*0x800, 0x800, 4, 100, 0))
-		}
-		cycles, ok := s.Run(100_000_000)
-		if !ok {
-			b.Fatal("scaling run stuck")
-		}
-		return cycles
-	}
-	type row struct {
-		n          int
-		un, di, ce uint64
-	}
-	var rows []row
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, n := range []int{1, 2, 4, 8} {
-			rows = append(rows, row{n,
-				measure(soc.Unprotected, n),
-				measure(soc.Distributed, n),
-				measure(soc.Centralized, n)})
-		}
-	}
-	tb := trace.NewTable("E6 — cycles to finish 100 accesses/core vs core count",
-		"cores", "unprotected", "distributed", "centralized", "dist overhead", "cent overhead")
-	for _, r := range rows {
-		tb.AddRow(fmt.Sprintf("%d", r.n),
-			trace.Comma(r.un), trace.Comma(r.di), trace.Comma(r.ce),
-			fmt.Sprintf("%.2fx", float64(r.di)/float64(r.un)),
-			fmt.Sprintf("%.2fx", float64(r.ce)/float64(r.un)))
-	}
-	printTable(b, "e6", tb.String())
-	last := rows[len(rows)-1]
-	b.ReportMetric(float64(last.di)/float64(last.un), "dist-overhead-8core")
-	b.ReportMetric(float64(last.ce)/float64(last.un), "cent-overhead-8core")
 }

@@ -11,11 +11,14 @@
 // distributed Local Firewalls plus a Local Ciphering Firewall for external
 // memory — lives in internal/core on top of from-scratch AES-128
 // (internal/aes) and a Merkle integrity engine (internal/hashtree), and the
-// evaluation is regenerated by bench_test.go (Tables I and II, Figure 1,
-// and the quantified versions of the paper's prose claims, experiments
-// E1–E5). README.md walks through the command-line tools, the campaign
-// service and the verified properties; each benchmark's comment states
-// the paper artifact or claim it regenerates.
+// evaluation is pinned by TestPaperGolden (paper_test.go), which renders
+// it into testdata/paper.golden and fails on any byte difference: Tables I
+// and II, the per-zone access costs, Figure 1, each platform's bill of
+// materials, the quantified versions of the paper's prose claims
+// (experiments E1–E6), four ablations and the `make attack` detection
+// matrix. README.md walks through the command-line tools, the campaign
+// service and the verified properties; each renderer's comment in
+// paper_test.go states the paper artifact or claim it regenerates.
 //
 // # Simulation hot path
 //
@@ -155,8 +158,10 @@
 // per-core and per-firewall snapshots as the benign sweep. Every run is a
 // twin run (soc.Pair): an identical attack-free platform executes the same
 // background load, so the background's slowdown attributes the bystander
-// cost of the attack — the generalization of the old DoS-only slowdown
-// measurement, now one unified Outcome/Record schema for every scenario:
+// cost of the attack, in one Record schema for every scenario.
+// campaign.RunOne is the one path every attack runs through, including
+// the quiet points (background "none") that fire an attack on an
+// otherwise idle platform:
 //
 //	mpsocsim -attack -format table                 # the paper's detection matrix
 //	mpsocsim -attack -trace c.json                 # Chrome trace of every run (Perfetto)
@@ -332,7 +337,8 @@
 // across worker counts or shard/merge recombination — for the benign
 // sweep, the attack campaign, and the recovery-enabled campaign in its
 // hardest (probation-flap) regime — and regenerates the detection matrix
-// (`make attack`) as a smoke run. `make serve-determinism` extends the
+// (`make attack`, the testdata/attack.json grid that TestPaperGolden
+// pins) as a smoke run. `make serve-determinism` extends the
 // byte-identity contract across transports: the same spec run via flags,
 // via -spec, and via HTTP submission at several worker counts must
 // produce identical JSONL, and the service's online /aggregates must

@@ -69,7 +69,7 @@ func main() {
 	report(system, "replay")
 
 	cs := system.LCF.Crypto()
-	fmt.Printf("\nLCF totals: %d blocks enciphered, %d deciphered, %d integrity failures\n",
+	fmt.Printf("LCF totals: %d blocks enciphered, %d deciphered, %d integrity failures\n",
 		cs.BlocksEnciphered, cs.BlocksDeciphered, cs.IntegrityFailures)
 }
 

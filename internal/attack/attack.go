@@ -4,69 +4,20 @@
 // FPGA (zone escapes, format abuse, DMA hijacking, DoS floods).
 //
 // Every scenario separates its build / inject / verdict phases (the
-// Scenario interface in scenario.go), so the same attack runs both
-// one-shot on a quiet platform (Run, and the named wrappers below) and
-// inside internal/campaign's sweeps, where it fires at a chosen cycle
-// under concurrent benign load. Either way the report says whether the
-// platform detected it (an alert was raised, and by which firewall),
-// whether the effect was contained (the attacker's goal failed), and how
-// quickly. Running the same scenario against soc.Unprotected shows the
-// attack actually works when nothing defends — keeping the detection
-// results honest.
+// Scenario interface in scenario.go), so internal/campaign's runner owns
+// the platform and fires the attack at a chosen cycle: under concurrent
+// benign load, or on an otherwise idle platform when the grid point's
+// background is "none". Its record says whether the platform detected the
+// attack (an alert was raised, and by which firewall), whether the effect
+// was contained (the attacker's goal failed), and how quickly. Running the
+// same scenario against soc.Unprotected shows the attack actually works
+// when nothing defends — keeping the detection results honest.
 package attack
 
 import (
-	"fmt"
-
 	"repro/internal/bus"
-	"repro/internal/core"
 	"repro/internal/soc"
-	"repro/internal/workload"
 )
-
-// Outcome reports one scenario run. It is the unified schema for every
-// scenario including the DoS flood: the victim-throughput fields are zero
-// for attacks without a bystander-cost measurement.
-type Outcome struct {
-	// Scenario and Protection identify the run.
-	Scenario   string
-	Protection soc.Protection
-	// Detected: at least one firewall alert attributable to the attack.
-	// DetectedBy names the enforcement point that raised the first one.
-	Detected   bool
-	DetectedBy string
-	// Violation is the first attributed alert's class.
-	Violation core.Violation
-	// DetectLatency is the cycle distance from injection to first alert
-	// (meaningful when Detected).
-	DetectLatency uint64
-	// Contained: the attacker's goal failed (data suppressed, write
-	// discarded, victim unaffected).
-	Contained bool
-	// VictimCycles / BaselineCycles are the victim workload's duration
-	// under attack and with the attacker idle; FloodBusShare is the
-	// fraction of completed bus transactions issued by the attacker.
-	// Populated by DoS-style scenarios only.
-	VictimCycles   uint64
-	BaselineCycles uint64
-	FloodBusShare  float64
-	// Notes carries scenario-specific measurements.
-	Notes string
-}
-
-// Slowdown returns VictimCycles / BaselineCycles (0 when no victim
-// throughput was measured).
-func (o Outcome) Slowdown() float64 {
-	if o.BaselineCycles == 0 {
-		return 0
-	}
-	return float64(o.VictimCycles) / float64(o.BaselineCycles)
-}
-
-func (o Outcome) String() string {
-	return fmt.Sprintf("%-18s %-22s detected=%-5v contained=%-5v latency=%d %s",
-		o.Scenario, o.Protection, o.Detected, o.Contained, o.DetectLatency, o.Notes)
-}
 
 // probe issues one bus transaction from a dedicated unguarded master and
 // runs until completion. External-memory scenarios use it as the victim
@@ -80,93 +31,4 @@ func probe(s *soc.System, m *bus.MasterPort, op bus.Op, addr uint32, data uint32
 	m.Submit(tx, func(*bus.Transaction) { done = true })
 	s.Eng.RunUntil(func() bool { return done }, 1_000_000)
 	return tx
-}
-
-// Tamper flips one ciphertext/data bit in external memory, then the victim
-// reads it back (threat: arbitrary modification of external code/data).
-func Tamper(p soc.Protection) Outcome { return Run(mustNew("tamper"), p) }
-
-// Replay snapshots external memory (data and tree nodes), lets the victim
-// overwrite a value, restores the stale image, and reads back (threat:
-// reverting a security-critical update, e.g. a decremented credit).
-func Replay(p soc.Protection) Outcome { return Run(mustNew("replay"), p) }
-
-// Relocation copies a valid ciphertext block (and its stored leaf digest)
-// to a different address (threat: splicing privileged code/data to another
-// location).
-func Relocation(p soc.Protection) Outcome { return Run(mustNew("relocation"), p) }
-
-// Spoof fabricates ciphertext at a fresh address (threat: injecting
-// attacker-chosen data/code into the protected region).
-func Spoof(p soc.Protection) Outcome { return Run(mustNew("spoof"), p) }
-
-// CipherOnlyTamper targets the ciphered-but-not-integrity-checked zone;
-// see cipherOnlyScenario for why non-detection is the expected result.
-func CipherOnlyTamper(p soc.Protection) Outcome { return Run(mustNew("cipher-only-tamper"), p) }
-
-// ZoneEscape hijacks core 1 with a program that reads and writes addresses
-// its security policy does not grant.
-func ZoneEscape(p soc.Protection) Outcome { return Run(mustNew("zone-escape"), p) }
-
-// DMAHijack programs the DMA from an unauthorized core (cpu1) to copy
-// external plain memory over the shared BRAM (confused deputy).
-func DMAHijack(p soc.Protection) Outcome { return Run(mustNew("dma-hijack"), p) }
-
-// FormatAbuse drives byte/halfword stores at the DMA register file, whose
-// ADF rule (and register hardware) require 32-bit accesses.
-func FormatAbuse(p soc.Protection) Outcome { return Run(mustNew("format-abuse"), p) }
-
-// dosVictim is the victim workload of the dedicated DoS experiment:
-// stream 512 words from shared BRAM.
-func dosVictim() string {
-	return workload.Stream(soc.BRAMBase, 512, 4, 0)
-}
-
-// DoS is experiment E3 in its dedicated form: core 2 floods while core 0
-// runs a fixed victim workload, and the same workload runs on an
-// attack-free twin platform for the baseline. With distributed firewalls
-// the flood dies in core 2's own interface; without them it competes for
-// the shared bus. (The campaign generalizes this: there the "victim" is
-// whatever background load runs on the non-attacker cores.)
-func DoS(p soc.Protection) Outcome {
-	// Baseline: victim alone.
-	base := soc.MustNew(soc.Config{Protection: p})
-	base.HaltIdleCores(0)
-	base.MustLoad(0, dosVictim())
-	baseCycles, _ := base.Run(10_000_000)
-
-	// Attack: victim plus flooding attacker.
-	s := soc.MustNew(soc.Config{Protection: p})
-	s.HaltIdleCores(0, 2)
-	s.MustLoad(0, dosVictim())
-	s.MustLoad(2, workload.DoSFlood(soc.NodeBase)) // outside core 2's policy
-	inject := s.Eng.Now()
-	cycles, _ := s.RunUntilCores(50_000_000, 0)
-
-	out := Outcome{
-		Scenario:       "dos-flood",
-		Protection:     p,
-		VictimCycles:   cycles,
-		BaselineCycles: baseCycles,
-		FloodBusShare:  floodBusShare(s, 2),
-	}
-	out.classify(s, inject)
-	out.Contained = out.Slowdown() < DoSSlowdownGoal // victim within 10% of baseline
-	out.Notes = fmt.Sprintf("victim %d vs %d cycles (%.2fx), flood bus share %.0f%%",
-		cycles, baseCycles, out.Slowdown(), out.FloodBusShare*100)
-	return out
-}
-
-// All runs every detection scenario (DoS excluded: it measures victim
-// throughput, see DoS) at the given protection level.
-func All(p soc.Protection) []Outcome {
-	return []Outcome{
-		Tamper(p),
-		Replay(p),
-		Relocation(p),
-		Spoof(p),
-		ZoneEscape(p),
-		DMAHijack(p),
-		FormatAbuse(p),
-	}
 }

@@ -1,6 +1,7 @@
 package attack_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/attack"
@@ -10,30 +11,26 @@ import (
 // TestCampaignDeterministic: the entire attack campaign is bit-identical
 // across runs — the property every reported attack number rests on.
 func TestCampaignDeterministic(t *testing.T) {
-	run := func() []attack.Outcome { return attack.All(soc.Distributed) }
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("campaign lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scenario %s diverged:\n  %+v\n  %+v", a[i].Scenario, a[i], b[i])
+	for _, sc := range attack.DefaultNames() {
+		a, b := run(t, sc, soc.Distributed), run(t, sc, soc.Distributed)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("scenario %s diverged:\n  %+v\n  %+v", sc, a, b)
 		}
 	}
 }
 
 func TestDoSDeterministic(t *testing.T) {
-	a, b := attack.DoS(soc.Unprotected), attack.DoS(soc.Unprotected)
-	if a.VictimCycles != b.VictimCycles || a.BaselineCycles != b.BaselineCycles {
+	a, b := dos(t, soc.Unprotected), dos(t, soc.Unprotected)
+	if a.AttackCycles != b.AttackCycles || a.TwinCycles != b.TwinCycles {
 		t.Fatalf("DoS non-deterministic: %d/%d vs %d/%d",
-			a.VictimCycles, a.BaselineCycles, b.VictimCycles, b.BaselineCycles)
+			a.AttackCycles, a.TwinCycles, b.AttackCycles, b.TwinCycles)
 	}
 }
 
 // TestOutcomesCarryProtectionLabel guards the reporting path.
 func TestOutcomesCarryProtectionLabel(t *testing.T) {
-	for _, o := range attack.All(soc.Centralized) {
-		if o.Protection != soc.Centralized {
+	for _, sc := range attack.DefaultNames() {
+		if o := run(t, sc, soc.Centralized); o.Protection != soc.Centralized.String() {
 			t.Fatalf("%s labeled %v", o.Scenario, o.Protection)
 		}
 	}

@@ -10,10 +10,10 @@ import (
 )
 
 // Scenario is an attack in injectable form: the build / inject / verdict
-// phases are separated so a harness — the quiet one-shot Run below, or the
-// campaign runner in internal/campaign — owns the platform, decides when
-// the attack fires, and can keep benign background traffic flowing on the
-// cores the scenario does not claim.
+// phases are separated so a harness — the campaign runner in
+// internal/campaign — owns the platform, decides when the attack fires,
+// and can keep benign background traffic flowing on the cores the
+// scenario does not claim.
 //
 // The contract mirrors how a real compromise unfolds: Setup prepares the
 // pre-attack state on a freshly built platform (victim data written,
@@ -106,59 +106,8 @@ func New(name string) (Scenario, error) {
 	}
 }
 
-func mustNew(name string) Scenario {
-	sc, err := New(name)
-	if err != nil {
-		panic(err)
-	}
-	return sc
-}
-
-// runBudget bounds the attacker-program window of the quiet one-shot Run
-// and the drains scenarios perform in Verify.
+// runBudget bounds the drains scenarios perform in Verify.
 const runBudget = 2_000_000
-
-// Run executes one scenario on a quiet platform (no background load) at
-// the given protection level — the one-shot form the campaign generalizes.
-// Detection is classified from the alerts raised at or after injection.
-func Run(sc Scenario, p soc.Protection) Outcome {
-	s := soc.MustNew(soc.Config{Protection: p})
-	s.HaltIdleCores()
-	o := Outcome{Scenario: sc.Name(), Protection: p}
-	if len(s.Cores) < sc.MinCores() {
-		o.Notes = fmt.Sprintf("needs >= %d cores", sc.MinCores())
-		return o
-	}
-	if err := sc.Setup(s); err != nil {
-		o.Notes = "setup: " + err.Error()
-		return o
-	}
-	inject := s.Eng.Now()
-	if err := sc.Inject(s); err != nil {
-		o.Notes = "inject: " + err.Error()
-		return o
-	}
-	s.Run(runBudget)
-	v := sc.Verify(s, 0)
-	o.Contained = !v.GoalMet
-	o.Notes = v.Notes
-	o.classify(s, inject)
-	return o
-}
-
-// classify fills the detection fields from the alerts raised at or after
-// the injection cycle: whether any firewall noticed, which one first, what
-// violation class it reported, and how quickly.
-func (o *Outcome) classify(s *soc.System, inject uint64) {
-	_, first := s.Alerts.Since(inject)
-	if first == nil {
-		return
-	}
-	o.Detected = true
-	o.DetectedBy = first.FirewallID
-	o.Violation = first.Violation
-	o.DetectLatency = first.Cycle - inject
-}
 
 // Scratch addresses the external-memory scenarios probe. All fall in the
 // secure (CM+IM) zone except the cipher-only target; campaign background
@@ -451,8 +400,7 @@ func (*formatAbuseScenario) Verify(s *soc.System, _ float64) Verdict {
 // distributed firewalls the flood dies in the core's own interface;
 // without them it competes with every bystander for the shared bus. The
 // goal is denial of service, so the verdict is judged on the background
-// traffic's slowdown versus the attack-free twin — the generalization of
-// the old DoSOutcome.Slowdown measurement.
+// traffic's slowdown versus the attack-free twin.
 type dosScenario struct{}
 
 // DoSSlowdownGoal is the bystander slowdown at which a flood counts as
@@ -510,9 +458,8 @@ const (
 	burstLegalPer = 10 // authorized stores per iteration (the bus load)
 	burstTail     = 32 // benign stores after the attack ends
 	// burstLegalAddr is shared BRAM the core's policy allows, clear of the
-	// scratch words other scenarios probe (dma-hijack checks word 0, the
-	// legacy DoS victim streams the first 2 KiB) and of the campaign's
-	// background slices (BRAMBase+0x4000 up).
+	// scratch words other scenarios probe (dma-hijack checks word 0) and
+	// of the campaign's background slices (BRAMBase+0x4000 up).
 	burstLegalAddr = soc.BRAMBase + 0x3800
 )
 

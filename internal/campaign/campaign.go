@@ -1,22 +1,24 @@
-// Package campaign turns the one-shot attack scenarios of internal/attack
-// into a full sweep axis: a grid of scenario x protection x core-count x
+// Package campaign runs the injectable attack scenarios of internal/attack
+// as a full sweep axis: a grid of scenario x protection x core-count x
 // background-workload, where every grid point boots a platform, streams
 // benign traffic on the non-attacker cores, injects the attack at a
 // deterministic cycle, and reports containment the way the benign sweep
 // reports performance — one structured Record per run, with the same
 // per-core and per-firewall snapshots, streamed as JSONL or CSV through
-// internal/sweep's credit-bounded reorder buffer. That is what the paper's
-// §III–§V argument actually claims: the distributed firewalls detect and
-// contain attacks *under concurrent load*, not on an idle platform.
+// internal/sweep's credit-bounded reorder buffer, or rendered as the
+// paper's detection matrix (WriteTable). That is what the paper's §III–§V
+// argument actually claims: the distributed firewalls detect and contain
+// attacks *under concurrent load*, not on an idle platform. RunOne is the
+// one path every attack runs through; a grid point whose background is
+// "none" fires its attack on an otherwise idle platform.
 //
 // Every run is really a twin run (soc.Pair): the attacked platform and an
 // attack-free twin execute identically — same setup, same background
 // kernels, same cycle count at injection time — so the background
-// traffic's slowdown attributes the bystander cost of the attack (the
-// generalization of the old ad-hoc DoS slowdown measurement) to the attack
-// alone. Records are deterministic, so campaign streams are byte-identical
-// across worker counts and across -shard i/n + sweep.Merge, exactly like
-// benign sweeps.
+// traffic's slowdown attributes the bystander cost of the attack to the
+// attack alone. Records are deterministic, so campaign streams are
+// byte-identical across worker counts and across -shard i/n +
+// sweep.Merge, exactly like benign sweeps.
 package campaign
 
 import (
@@ -244,7 +246,7 @@ type Record struct {
 
 // Background kernels run in a per-core slice of shared BRAM well clear of
 // the scratch addresses the scenarios probe (dma-hijack checks BRAM word
-// 0; the legacy DoS victim streams the first 2 KiB). External-memory
+// 0, burst-flood stores at BRAMBase+0x3800). External-memory
 // backgrounds get per-core slices of the DDR's protected zones instead,
 // above the first leaves the memory-attack scenarios target
 // (tamper/replay/relocate/spoof probe SecureBase+0x40..0x400, the cipher
@@ -470,8 +472,9 @@ func runOne(cfg Config, tr *obs.Tracer, newPair func(soc.Config) (*soc.Pair, err
 	case cfg.Background == "none" || len(bg) == 0:
 		// Quiet grid point: no bystanders to measure. Run the attacked
 		// half out (hijacked programs execute; never-halting floods are
-		// budget-bounded) so the verdict matches the one-shot attack.Run
-		// semantics; the twin stays parked at the injection cycle.
+		// budget-bounded) so the verdict judges the attack's full effect
+		// on an idle platform; the twin stays parked at the injection
+		// cycle.
 		// Completed stays honest: a flood that spins to the budget is a
 		// truncated window, not a finished one. The supervisor's release
 		// events still fire inside the run, so the reactor stamps are

@@ -14,10 +14,9 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 }
 
 // dashboardHTML is the whole dashboard: HTML, CSS and vanilla JS, no
-// external assets. It replaces the retired gnuplot seeds in tools/plot —
-// detection/containment/quarantine/recovery rates and the
-// react/recovery-latency percentiles render as inline SVG bars from the
-// /aggregates snapshots the /events feed pushes while a job runs.
+// external assets. Detection/containment/quarantine/recovery rates and
+// the react/recovery-latency percentiles render as inline SVG bars from
+// the /aggregates snapshots the /events feed pushes while a job runs.
 const dashboardHTML = `<!doctype html>
 <html lang="en">
 <head>

@@ -1,7 +1,7 @@
-// Package trace provides reporting utilities shared by the benchmark
-// harness and the command-line tools: aligned text tables (for regenerating
-// the paper's Table I / Table II layouts) and simple CSV emission for the
-// sweep experiments.
+// Package trace provides reporting utilities shared by the paper's golden
+// test (paper_test.go), the campaign's detection matrix and the
+// command-line tools: aligned text tables (for regenerating the paper's
+// Table I / Table II layouts) and the paper's number formats.
 package trace
 
 import (
@@ -95,34 +95,6 @@ func (t *Table) String() string {
 			continue
 		}
 		writeRow(r)
-	}
-	return sb.String()
-}
-
-// CSV renders the table as comma-separated values (quoting cells that
-// contain commas).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	writeRow := func(r []string) {
-		for i, c := range r {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				sb.WriteString(`"` + strings.ReplaceAll(c, `"`, `""`) + `"`)
-			} else {
-				sb.WriteString(c)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	if len(t.headers) > 0 {
-		writeRow(t.headers)
-	}
-	for _, r := range t.rows {
-		if r != nil {
-			writeRow(r)
-		}
 	}
 	return sb.String()
 }

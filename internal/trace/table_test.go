@@ -43,17 +43,6 @@ func TestTableSeparatorAndExtraColumns(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.AddRow("1", "with,comma")
-	tb.AddRow("2", `with"quote`)
-	csv := tb.CSV()
-	want := "a,b\n1,\"with,comma\"\n2,\"with\"\"quote\"\n"
-	if csv != want {
-		t.Fatalf("CSV = %q, want %q", csv, want)
-	}
-}
-
 func TestAddRowf(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.AddRowf("%d|%s", 42, "x")
