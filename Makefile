@@ -84,13 +84,15 @@ race:
 		./internal/soc ./internal/core ./internal/hashtree ./internal/cpu
 
 # fuzz-smoke: each native fuzz target runs for a fixed 10 s. Plain go test
-# only replays the seed corpora (testdata/fuzz); this searches past them,
-# which matters most right after a change to the code a target covers —
-# FuzzMerge holds sweep.Merge to the priming merge it replaced,
-# FuzzCipherKernels both AES paths to crypto/aes.
+# only replays the seed corpora (testdata/fuzz and the f.Add seeds); this
+# searches past them, which matters most right after a change to the code
+# a target covers — FuzzMerge holds sweep.Merge to the priming merge it
+# replaced, FuzzCipherKernels both AES paths to crypto/aes, FuzzStore the
+# copy-on-write pages of mem.Store to a flat []byte.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzCipherKernels$$' -fuzztime 10s ./internal/aes
+	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime 10s ./internal/mem
 
 # modelcheck: the proof gate. Exhaustively enumerate the bounded
 # policy+reactor state space (internal/modelcheck) and fail on any
@@ -246,10 +248,14 @@ PR ?= 4
 # the current directory. The coordinator's two layers, about a millisecond
 # an op each, run at 500x: BenchmarkMerge (internal/sweep: the merge of one
 # fleet-recovery job's two shard streams) and BenchmarkDecodeMergedLine
-# (internal/server: the decode and fold of that job's merged lines).
+# (internal/server: the decode and fold of that job's merged lines). The
+# grid-point layer, BenchmarkRunOne (internal/campaign: one campaign.RunOne
+# of three gated-workload-shaped points), runs at 20x, as a flood point
+# takes 10-20 ms.
 BENCH_SUITE = $(GO) test -run '^$$' -bench '$(BENCH_TOP)' -benchtime=3000x -benchmem . && \
 	$(GO) test -run '^$$' -bench . -benchtime=3000x -benchmem ./internal/aes ./internal/hashtree ./internal/core && \
-	$(GO) test -run '^$$' -bench '^Benchmark(Merge|DecodeMergedLine)$$' -benchtime=500x -benchmem ./internal/sweep ./internal/server
+	$(GO) test -run '^$$' -bench '^Benchmark(Merge|DecodeMergedLine)$$' -benchtime=500x -benchmem ./internal/sweep ./internal/server && \
+	$(GO) test -run '^$$' -bench '^BenchmarkRunOne$$' -benchtime=20x -benchmem ./internal/campaign
 
 bench-json:
 	@mkdir -p $(BUILD)

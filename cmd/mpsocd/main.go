@@ -70,7 +70,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "global worker-pool size (0 = GOMAXPROCS)")
-	maxJobs := flag.Int("max-jobs", 0, "maximum retained jobs (0 = default 1024)")
+	maxJobs := flag.Int("max-jobs", 0, "maximum retained jobs; a full table evicts the oldest finished one (0 = default 1024)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "/events snapshot cadence in records (0 = default 256)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight streams")
 	journalDir := flag.String("journal", "", "journal directory for crash-safe jobs (empty = in-memory only)")

@@ -19,16 +19,23 @@ import (
 	"repro/internal/soc"
 )
 
+// probeBudget bounds the cycles one probe transaction may take. A secured
+// access costs about a thousand cycles; no default grid comes near this.
+const probeBudget = 1_000_000
+
 // probe issues one bus transaction from a dedicated unguarded master and
-// runs until completion. External-memory scenarios use it as the victim
-// access; it reaches the LCF like any internal master would.
-func probe(s *soc.System, m *bus.MasterPort, op bus.Op, addr uint32, data uint32) *bus.Transaction {
-	tx := &bus.Transaction{Op: op, Addr: addr, Size: 4, Burst: 1}
+// runs until completion, and reports whether the transaction completed
+// within probeBudget cycles: if it did not, tx.Resp and tx.Data still
+// hold their zero values, not the slave's answer. External-memory
+// scenarios use it as the victim access; it reaches the LCF like any
+// internal master would.
+func probe(s *soc.System, m *bus.MasterPort, op bus.Op, addr uint32, data uint32) (tx *bus.Transaction, ok bool) {
+	tx = &bus.Transaction{Op: op, Addr: addr, Size: 4, Burst: 1}
 	if op == bus.Write {
 		tx.Data = []uint32{data}
 	}
 	done := false
 	m.Submit(tx, func(*bus.Transaction) { done = true })
-	s.Eng.RunUntil(func() bool { return done }, 1_000_000)
-	return tx
+	_, ok = s.Eng.RunUntil(func() bool { return done }, probeBudget)
+	return tx, ok
 }

@@ -55,6 +55,10 @@ type Verdict struct {
 	GoalMet bool
 	// Notes carries the scenario-specific measurement behind the verdict.
 	Notes string
+	// Err, when non-nil, means the scenario could not judge: the
+	// measurement the verdict rests on did not happen (a victim read that
+	// never completed), so GoalMet says nothing.
+	Err error
 }
 
 // Names lists every injectable scenario in canonical order.
@@ -137,10 +141,24 @@ func (e *externalProbe) attach(s *soc.System) {
 	e.m = s.Bus.NewMaster("victim")
 }
 
-// read issues the victim read and renders the standard verdict notes.
-func (e *externalProbe) read(s *soc.System, addr uint32) (*bus.Transaction, string) {
-	rd := probe(s, e.m, bus.Read, addr, 0)
-	return rd, fmt.Sprintf("read resp=%v data=%#x", rd.Resp, rd.Data[0])
+// write issues a victim write of Setup, an error if it does not complete.
+func (e *externalProbe) write(s *soc.System, addr, v uint32) error {
+	if _, ok := probe(s, e.m, bus.Write, addr, v); !ok {
+		return fmt.Errorf("attack: victim write to %#x did not complete within %d cycles", addr, probeBudget)
+	}
+	return nil
+}
+
+// verify issues the victim read and judges it: the attacker's goal is met
+// when the read is delivered and goal holds of the data it returns. A read
+// that does not complete is no verdict but an error.
+func (e *externalProbe) verify(s *soc.System, addr uint32, goal func(data uint32) bool) Verdict {
+	rd, ok := probe(s, e.m, bus.Read, addr, 0)
+	if !ok {
+		return Verdict{Err: fmt.Errorf("attack: victim read of %#x did not complete within %d cycles", addr, probeBudget)}
+	}
+	return Verdict{GoalMet: rd.Resp.OK() && goal(rd.Data[0]),
+		Notes: fmt.Sprintf("read resp=%v data=%#x", rd.Resp, rd.Data[0])}
 }
 
 // tamperScenario flips one ciphertext/data bit in external memory, then
@@ -152,8 +170,7 @@ func (*tamperScenario) Name() string { return "tamper" }
 
 func (t *tamperScenario) Setup(s *soc.System) error {
 	t.attach(s)
-	probe(s, t.m, bus.Write, tamperAddr, 0x0DDC0FFE)
-	return nil
+	return t.write(s, tamperAddr, 0x0DDC0FFE)
 }
 
 func (t *tamperScenario) Inject(s *soc.System) error {
@@ -163,8 +180,7 @@ func (t *tamperScenario) Inject(s *soc.System) error {
 }
 
 func (t *tamperScenario) Verify(s *soc.System, _ float64) Verdict {
-	rd, notes := t.read(s, tamperAddr)
-	return Verdict{GoalMet: rd.Resp.OK() && rd.Data[0] != 0x0DDC0FFE, Notes: notes}
+	return t.verify(s, tamperAddr, func(v uint32) bool { return v != 0x0DDC0FFE })
 }
 
 // replayScenario snapshots external memory (data and tree nodes), lets the
@@ -180,10 +196,11 @@ func (*replayScenario) Name() string { return "replay" }
 
 func (r *replayScenario) Setup(s *soc.System) error {
 	r.attach(s)
-	probe(s, r.m, bus.Write, replayAddr, 0x0001_0000) // old balance
+	if err := r.write(s, replayAddr, 0x0001_0000); err != nil { // old balance
+		return err
+	}
 	r.snap = s.DDR.Store().Snapshot()
-	probe(s, r.m, bus.Write, replayAddr, 0x0000_0001) // spent: new balance
-	return nil
+	return r.write(s, replayAddr, 0x0000_0001) // spent: new balance
 }
 
 func (r *replayScenario) Inject(s *soc.System) error {
@@ -192,8 +209,7 @@ func (r *replayScenario) Inject(s *soc.System) error {
 }
 
 func (r *replayScenario) Verify(s *soc.System, _ float64) Verdict {
-	rd, notes := r.read(s, replayAddr)
-	return Verdict{GoalMet: rd.Resp.OK() && rd.Data[0] == 0x0001_0000, Notes: notes}
+	return r.verify(s, replayAddr, func(v uint32) bool { return v == 0x0001_0000 })
 }
 
 // relocationScenario copies a valid ciphertext block (and its stored leaf
@@ -205,9 +221,10 @@ func (*relocationScenario) Name() string { return "relocation" }
 
 func (r *relocationScenario) Setup(s *soc.System) error {
 	r.attach(s)
-	probe(s, r.m, bus.Write, relocSrc, 0xA11C0DE5)
-	probe(s, r.m, bus.Write, relocDst, 0x00000000)
-	return nil
+	if err := r.write(s, relocSrc, 0xA11C0DE5); err != nil {
+		return err
+	}
+	return r.write(s, relocDst, 0x00000000)
 }
 
 func (r *relocationScenario) Inject(s *soc.System) error {
@@ -225,8 +242,7 @@ func (r *relocationScenario) Inject(s *soc.System) error {
 }
 
 func (r *relocationScenario) Verify(s *soc.System, _ float64) Verdict {
-	rd, notes := r.read(s, relocDst)
-	return Verdict{GoalMet: rd.Resp.OK() && rd.Data[0] == 0xA11C0DE5, Notes: notes}
+	return r.verify(s, relocDst, func(v uint32) bool { return v == 0xA11C0DE5 })
 }
 
 // spoofScenario fabricates ciphertext at a fresh address (threat:
@@ -237,8 +253,7 @@ func (*spoofScenario) Name() string { return "spoof" }
 
 func (sp *spoofScenario) Setup(s *soc.System) error {
 	sp.attach(s)
-	probe(s, sp.m, bus.Write, spoofAddr, 0x600D_DA7A)
-	return nil
+	return sp.write(s, spoofAddr, 0x600D_DA7A)
 }
 
 func (sp *spoofScenario) Inject(s *soc.System) error {
@@ -251,8 +266,7 @@ func (sp *spoofScenario) Inject(s *soc.System) error {
 }
 
 func (sp *spoofScenario) Verify(s *soc.System, _ float64) Verdict {
-	rd, notes := sp.read(s, spoofAddr)
-	return Verdict{GoalMet: rd.Resp.OK() && rd.Data[0] != 0x600D_DA7A, Notes: notes}
+	return sp.verify(s, spoofAddr, func(v uint32) bool { return v != 0x600D_DA7A })
 }
 
 // cipherOnlyScenario targets the *ciphered-but-not-integrity-checked*
@@ -269,8 +283,7 @@ func (*cipherOnlyScenario) Name() string { return "cipher-only-tamper" }
 
 func (c *cipherOnlyScenario) Setup(s *soc.System) error {
 	c.attach(s)
-	probe(s, c.m, bus.Write, cipherAddr, 0x0DDF00D5)
-	return nil
+	return c.write(s, cipherAddr, 0x0DDF00D5)
 }
 
 func (c *cipherOnlyScenario) Inject(s *soc.System) error {
@@ -282,8 +295,7 @@ func (c *cipherOnlyScenario) Inject(s *soc.System) error {
 func (c *cipherOnlyScenario) Verify(s *soc.System, _ float64) Verdict {
 	// The attacker's goal here is corruption-as-DoS: delivered data
 	// differs from what was stored, without an alert.
-	rd, notes := c.read(s, cipherAddr)
-	return Verdict{GoalMet: rd.Resp.OK() && rd.Data[0] != 0x0DDF00D5, Notes: notes}
+	return c.verify(s, cipherAddr, func(v uint32) bool { return v != 0x0DDF00D5 })
 }
 
 // errsOut is where hijacked-core programs publish their observed bus-error

@@ -515,6 +515,9 @@ func runOne(cfg Config, tr *obs.Tracer, newPair func(soc.Config) (*soc.Pair, err
 	}
 
 	v := scAtk.Verify(pair.Attacked, rec.Slowdown)
+	if v.Err != nil {
+		return fail(v.Err)
+	}
 	rec.Contained = !v.GoalMet
 	rec.Goal = v.Notes
 

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
+
+	"repro/internal/bus"
 )
 
 // chunkedLog records n alerts whose cycles rise by 3 (with a step back
@@ -74,8 +78,9 @@ func TestAlertLogAllKeepsOrderAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestAlertLogFirstStaysValid: a *Alert from First still points at that
-// alert after the log grows by many chunks.
+// TestAlertLogFirstStaysValid: First returns a copy of the alert, which
+// keeps that alert's value as the log grows by many chunks and after a
+// Reset reuses them, and a write to which does not reach the log.
 func TestAlertLogFirstStaysValid(t *testing.T) {
 	l := NewAlertLog()
 	l.Record(Alert{Cycle: 7, FirewallID: "lf-cpu0", Violation: VZone})
@@ -83,36 +88,101 @@ func TestAlertLogFirstStaysValid(t *testing.T) {
 	for i := 0; i < 5*alertChunk; i++ {
 		l.Record(Alert{Cycle: uint64(8 + i), FirewallID: "lf-cpu1"})
 	}
-	if a != l.First(nil) || a.Cycle != 7 || a.FirewallID != "lf-cpu0" || a.Violation != VZone {
-		t.Fatalf("First's alert moved or changed: %+v", a)
+	if *a != *l.First(nil) || a.Cycle != 7 || a.FirewallID != "lf-cpu0" || a.Violation != VZone {
+		t.Fatalf("First's alert changed as the log grew: %+v", a)
+	}
+	a.Cycle = 99
+	if l.First(nil).Cycle != 7 {
+		t.Fatal("a write to First's copy reached the log")
+	}
+	l.Reset()
+	l.Record(Alert{Cycle: 1, FirewallID: "lf-dma"})
+	if a.FirewallID != "lf-cpu0" {
+		t.Fatalf("First's copy changed after a Reset: %+v", a)
+	}
+}
+
+// TestAlertLogRoundTripsEveryField: the log hands back, from All, First,
+// Since and to its subscribers, exactly the alerts recorded — every field,
+// names among them. The name table stays exact past its one-entry caches:
+// alerts alternate between hundreds of distinct firewall, master and
+// detail strings, some of them equal strings built separately.
+func TestAlertLogRoundTripsEveryField(t *testing.T) {
+	l := NewAlertLog()
+	var seen []Alert
+	l.Subscribe(func(a *Alert) { seen = append(seen, *a) })
+	var want []Alert
+	for i := 0; i < 3*alertChunk; i++ {
+		a := Alert{
+			Cycle:      uint64(i) * 1000003,
+			FirewallID: fmt.Sprintf("fw-%d", i%300),
+			Master:     fmt.Sprintf("m%d", i%7),
+			Thread:     uint32(i * 31),
+			SPI:        uint32(i % 5),
+			Violation:  Violation(i % 7),
+			Op:         bus.Op(i % 2),
+			Addr:       uint32(i) * 0x9E37_79B9,
+			Size:       []int{1, 2, 4}[i%3],
+		}
+		if i%4 == 1 {
+			a.Detail = fmt.Sprintf("diagnosis %d", i%3)
+		}
+		want = append(want, a)
+		l.Record(a)
+	}
+	if got := l.All(); !slices.Equal(got, want) {
+		t.Fatal("All differs from the recorded alerts")
+	}
+	if !slices.Equal(seen, want) {
+		t.Fatal("the subscriber saw alerts other than the recorded ones")
+	}
+	if a := l.First(func(a Alert) bool { return a.FirewallID == "fw-299" }); a == nil || *a != want[299] {
+		t.Fatalf("First(fw-299) = %+v, want %+v", a, want[299])
+	}
+	if n, first := l.Since(want[500].Cycle); n != len(want)-500 || *first != want[500] {
+		t.Fatalf("Since = %d, %+v; want %d, %+v", n, first, len(want)-500, want[500])
+	}
+	if got := l.CountByFirewall()["fw-7"]; got != 3 {
+		t.Fatalf("CountByFirewall[fw-7] = %d, want 3", got)
+	}
+	if n := len(l.names); n != 300+7+3 {
+		t.Fatalf("name table holds %d names, want %d distinct ones", n, 300+7+3)
 	}
 }
 
 // TestAlertLogRecordAllocatesPerChunk: recording n alerts allocates the
-// log, one chunk per alertChunk alerts and the doublings of the chunk
-// table, and about the bytes of the alerts themselves — a stored alert is
-// never copied to a larger array.
+// log, one chunk per alertChunk alerts, the doublings of the chunk table
+// and the name table, and at most 40 bytes per alert: an entry is 32
+// bytes, stored once and never copied to a larger array. Handing an alert
+// to subscribers allocates nothing.
 func TestAlertLogRecordAllocatesPerChunk(t *testing.T) {
 	const chunks = 40
 	const n = chunks * alertChunk
+	if size := unsafe.Sizeof(alertEntry{}); size != 32 {
+		t.Fatalf("an alert entry is %d bytes, want 32", size)
+	}
 	a := Alert{Cycle: 1, FirewallID: "lf-cpu0", Master: "cpu0", Detail: "zone"}
-	allocs := testing.AllocsPerRun(5, func() {
+	record := func() {
 		l := NewAlertLog()
+		l.Subscribe(func(a *Alert) { alertSink = a.Cycle })
 		for i := 0; i < n; i++ {
 			l.Record(a)
 		}
-	})
-	if max := float64(2 + chunks + bits.Len(chunks)); allocs < chunks || allocs > max {
+	}
+	// The name table is a map and its bucket plus a slice grown to three
+	// names; the subscriber list is one more.
+	const nameTable, subs = 2 + 3, 1
+	allocs := testing.AllocsPerRun(5, record)
+	if max := float64(2 + chunks + bits.Len(chunks) + nameTable + subs); allocs < chunks || allocs > max {
 		t.Fatalf("recording %d alerts allocates %v times, want %d..%v", n, allocs, chunks, max)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	l := NewAlertLog()
-	for i := 0; i < n; i++ {
-		l.Record(a)
-	}
+	record()
 	runtime.ReadMemStats(&after)
-	if got, stored := after.TotalAlloc-before.TotalAlloc, uint64(n)*uint64(unsafe.Sizeof(a)); got > stored+stored/8 {
-		t.Fatalf("recording %d alerts allocates %d bytes, want about the %d they hold", n, got, stored)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 40*n {
+		t.Fatalf("recording %d alerts allocates %d bytes (%.1f per alert), want at most 40 per alert", n, got, float64(got)/n)
 	}
 }
+
+var alertSink uint64

@@ -201,12 +201,14 @@ func (f *CipherFirewall) scratch(nBytes int) ([]byte, []uint32) {
 // Enciphering a zone is a pure function of (zone base, key, plaintext),
 // and the platforms a process builds seal the same images, so the CC pass
 // is memoised per process (sealMemo) and the tree build likewise
-// (hashtree.Tree.Build). A hit copies the remembered ciphertext into the
-// store; a preloaded image misses and is computed. Either way each zone is
-// written with one Poke, so Seal advances the store's mutation generation
-// by one per CM zone plus one for the node array. Nothing reads an
-// external store's generation: only a core compares its own local
-// store's.
+// (hashtree.Tree.Build). A hit installs the remembered ciphertext's pages
+// in the store shared, copying none of them (mem.Store.Restore); a
+// preloaded image misses and is computed into a new memo image, whose
+// bytes are also poked into the store. Either way each zone is written
+// with one Poke or one Restore, so Seal advances the store's mutation
+// generation by one per CM zone plus one for the node array. Nothing
+// reads an external store's generation: only a core compares its own
+// local store's.
 func (f *CipherFirewall) Seal() {
 	for _, p := range f.cm.Policies() {
 		if p.CM {
@@ -220,16 +222,17 @@ func (f *CipherFirewall) Seal() {
 
 // sealZone enciphers one CM zone in place, from the memo when an earlier
 // Seal in this process enciphered the same plaintext at the same base
-// under the same key.
+// under the same key, in a store at the same base.
 func (f *CipherFirewall) sealZone(p Policy) {
 	if sealMemo.load(f.store, p.Zone.Base, p.Key, int(p.Zone.Size)) {
 		return
 	}
 	plain := f.store.Peek(p.Zone.Base, int(p.Zone.Size))
-	z := &sealedZone{base: p.Zone.Base, key: p.Key, plain: plain, cipher: bytes.Clone(plain)}
-	cipherRange(f.cipherFor(p.Key), z.base, z.cipher, false)
-	f.store.Poke(z.base, z.cipher)
-	sealMemo.add(z)
+	img, cipher := mem.NewImage(f.store.Base(), p.Zone.Base, len(plain))
+	copy(cipher, plain)
+	cipherRange(f.cipherFor(p.Key), p.Zone.Base, cipher, false)
+	f.store.Poke(p.Zone.Base, cipher)
+	sealMemo.add(sealedZone{storeBase: f.store.Base(), base: p.Zone.Base, key: p.Key, plain: plain, cipher: img})
 }
 
 // sealMemoSize bounds the seal memo. A platform has a handful of CM zones
@@ -238,57 +241,66 @@ func (f *CipherFirewall) sealZone(p Policy) {
 // it.
 const sealMemoSize = 8
 
-// sealedZone is one remembered CC pass of Seal. Its buffers are private
-// copies, read only under sealMemo's lock and never handed out, so no
-// platform's memory aliases them.
+// sealedZone is one remembered CC pass of Seal. plain is a private copy,
+// read only under sealMemo's lock. cipher is an image of the sealed zone
+// whose pages every store sealed from this entry shares; a store copies a
+// page before it writes one, so no platform ever changes them. The image
+// is positional, so the entry also keys on the base of the stores it
+// restores into.
 type sealedZone struct {
-	base          uint32
-	key           [16]byte
-	plain, cipher []byte
+	storeBase uint32
+	base      uint32
+	key       [16]byte
+	plain     []byte
+	cipher    mem.Image
 }
 
 // sealMemo holds the most recent distinct CC passes, oldest first, for the
 // whole process; the mutex serialises the concurrent platform builds of a
 // sweep's workers. Like a sync.Pool it is invisible to results: a hit
-// yields exactly the bytes the computation would.
+// yields exactly the bytes the computation would. Entries are values, so
+// remembering one allocates nothing beyond its buffers.
 var sealMemo zoneMemo
 
 type zoneMemo struct {
 	mu      sync.Mutex
-	entries []*sealedZone
+	entries []sealedZone
 }
 
-// find returns the entry whose complete input equals (base, key, plain),
-// compared byte for byte: plain is size bytes long, and samePlain
-// compares an entry's plaintext of that length. The caller holds m.mu.
-func (m *zoneMemo) find(base uint32, key [16]byte, size int, samePlain func([]byte) bool) *sealedZone {
-	for _, z := range m.entries {
-		if z.base == base && z.key == key && len(z.plain) == size && samePlain(z.plain) {
+// find returns the entry whose complete input equals (store base, zone
+// base, key, plain), compared byte for byte: plain is size bytes long, and
+// samePlain compares an entry's plaintext of that length. The caller
+// holds m.mu, and the entry stays in place only while it does.
+func (m *zoneMemo) find(storeBase, base uint32, key [16]byte, size int, samePlain func([]byte) bool) *sealedZone {
+	for i := range m.entries {
+		z := &m.entries[i]
+		if z.storeBase == storeBase && z.base == base && z.key == key && len(z.plain) == size && samePlain(z.plain) {
 			return z
 		}
 	}
 	return nil
 }
 
-// load copies a remembered ciphertext for (base, key, the size bytes the
-// zone holds in st) into st and reports whether there was one. It
-// compares the zone in place, so a hit copies nothing out of the store.
+// load installs a remembered ciphertext for (base, key, the size bytes
+// the zone holds in st) into st and reports whether there was one. It
+// compares the zone in place and shares the remembered pages, so a hit
+// copies nothing.
 func (m *zoneMemo) load(st *mem.Store, base uint32, key [16]byte, size int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	z := m.find(base, key, size, func(plain []byte) bool { return st.Equal(base, plain) })
+	z := m.find(st.Base(), base, key, size, func(plain []byte) bool { return st.Equal(base, plain) })
 	if z != nil {
-		st.Poke(base, z.cipher)
+		st.Restore(&z.cipher)
 	}
 	return z != nil
 }
 
 // add remembers z unless a concurrent Seal got there first, evicting the
 // oldest entry beyond sealMemoSize.
-func (m *zoneMemo) add(z *sealedZone) {
+func (m *zoneMemo) add(z sealedZone) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.find(z.base, z.key, len(z.plain), func(plain []byte) bool { return bytes.Equal(plain, z.plain) }) != nil {
+	if m.find(z.storeBase, z.base, z.key, len(z.plain), func(plain []byte) bool { return bytes.Equal(plain, z.plain) }) != nil {
 		return
 	}
 	if len(m.entries) == sealMemoSize {

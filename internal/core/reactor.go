@@ -280,7 +280,7 @@ func (r *Reactor) quarantine(master string, cm *ConfigMemory, firstAlert, cycle 
 	r.notify(EventQuarantine, master, cycle)
 }
 
-func (r *Reactor) onAlert(a Alert) {
+func (r *Reactor) onAlert(a *Alert) {
 	cm, guarded := r.guarded[a.Master]
 	if !guarded {
 		return

@@ -340,18 +340,21 @@ func putU32(b []byte, v uint32) {
 // protected region.
 //
 // The node array and root are a pure function of (DataBase, data bytes,
-// versions) — NodeBase only places the array — so Build is memoised per
-// process (buildMemo): a hit copies the remembered node array into the
-// store with one Poke and installs the remembered root, exactly what the
-// computation would have written. The computed path writes the array with
-// one Poke too.
+// versions), so Build is memoised per process (buildMemo): a hit installs
+// the remembered node array's pages in the store shared, copying none of
+// them (mem.Store.Restore), and the remembered root on chip, exactly what
+// the computation would have written. The computed path builds the array
+// in a new memo image and writes it into the store with one Poke, so
+// either way Build advances the store's generation by one. Sharing is
+// positional, so the memo also keys on NodeBase and on the store's base.
 func (t *Tree) Build() {
 	t.cacheReset()
 	if buildMemo.load(t) {
 		return
 	}
-	data := t.cfg.Store.Peek(t.cfg.DataBase, int(t.cfg.DataSize))
-	nodes := make([]byte, NodesSize(t.cfg.DataSize))
+	st := t.cfg.Store
+	data := st.Peek(t.cfg.DataBase, int(t.cfg.DataSize))
+	img, nodes := mem.NewImage(st.Base(), t.cfg.NodeBase, int(NodesSize(t.cfg.DataSize)))
 	node := func(n int) *Digest { return (*Digest)(nodes[(n-1)*DigestSize:]) }
 	for i := 0; i < t.leaves; i++ {
 		*node(t.leaves + i) = t.leafDigest(i)
@@ -359,14 +362,16 @@ func (t *Tree) Build() {
 	for n := t.leaves - 1; n >= 1; n-- {
 		*node(n) = hashNode(node(2*n), node(2*n+1))
 	}
-	t.cfg.Store.Poke(t.cfg.NodeBase, nodes)
+	st.Poke(t.cfg.NodeBase, nodes)
 	t.root = *node(1)
-	buildMemo.add(&builtTree{
-		dataBase: t.cfg.DataBase,
-		data:     data,
-		versions: slices.Clone(t.versions),
-		nodes:    nodes,
-		root:     t.root,
+	buildMemo.add(builtTree{
+		storeBase: st.Base(),
+		dataBase:  t.cfg.DataBase,
+		nodeBase:  t.cfg.NodeBase,
+		data:      data,
+		versions:  slices.Clone(t.versions),
+		nodes:     img,
+		root:      t.root,
 	})
 }
 
@@ -375,35 +380,43 @@ func (t *Tree) Build() {
 // (key rotations, tests) from growing it.
 const buildMemoSize = 4
 
-// builtTree is one remembered Build. Its buffers are private copies, read
-// only under buildMemo's lock and never handed out, so no store aliases
-// them.
+// builtTree is one remembered Build. data and versions are private
+// copies, read only under buildMemo's lock. nodes is an image of the node
+// array whose pages every store built from this entry shares; a store
+// copies a page before it writes one, so no tree ever changes them.
 type builtTree struct {
-	dataBase uint32
-	data     []byte
-	versions []uint32
-	nodes    []byte
-	root     Digest
+	storeBase uint32
+	dataBase  uint32
+	nodeBase  uint32
+	data      []byte
+	versions  []uint32
+	nodes     mem.Image
+	root      Digest
 }
 
 // buildMemo holds the most recent distinct builds, oldest first, for the
 // whole process; the mutex serialises the concurrent platform builds of a
 // sweep's workers. Like a sync.Pool it is invisible to results: a hit
-// yields exactly the nodes and root the computation would.
+// yields exactly the nodes and root the computation would. Entries are
+// values, so remembering one allocates nothing beyond its buffers.
 var buildMemo treeMemo
 
 type treeMemo struct {
 	mu      sync.Mutex
-	entries []*builtTree
+	entries []builtTree
 }
 
-// find returns the entry whose complete input equals (dataBase, data,
-// versions), compared byte for byte; sameData compares an entry's data
+// find returns the entry whose complete input equals k's — the store's
+// base, the data and node array placement, the versions and the data
+// bytes — compared byte for byte; sameData compares an entry's data
 // bytes. The versions go first: there is one per leaf, so equal versions
-// mean data of equal length. The caller holds m.mu.
-func (m *treeMemo) find(dataBase uint32, sameData func([]byte) bool, versions []uint32) *builtTree {
-	for _, b := range m.entries {
-		if b.dataBase == dataBase && slices.Equal(b.versions, versions) && sameData(b.data) {
+// mean data of equal length. The caller holds m.mu, and the entry stays in
+// place only while it does.
+func (m *treeMemo) find(k *builtTree, sameData func([]byte) bool) *builtTree {
+	for i := range m.entries {
+		b := &m.entries[i]
+		if b.storeBase == k.storeBase && b.dataBase == k.dataBase && b.nodeBase == k.nodeBase &&
+			slices.Equal(b.versions, k.versions) && sameData(b.data) {
 			return b
 		}
 	}
@@ -412,14 +425,16 @@ func (m *treeMemo) find(dataBase uint32, sameData func([]byte) bool, versions []
 
 // load installs a remembered build of t's current input — node array
 // into the store, root on chip — and reports whether there was one. It
-// compares the data in place, so a hit copies nothing out of the store.
+// compares the data in place and shares the remembered pages, so a hit
+// copies nothing.
 func (m *treeMemo) load(t *Tree) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st, base := t.cfg.Store, t.cfg.DataBase
-	b := m.find(base, func(data []byte) bool { return st.Equal(base, data) }, t.versions)
+	k := builtTree{storeBase: st.Base(), dataBase: base, nodeBase: t.cfg.NodeBase, versions: t.versions}
+	b := m.find(&k, func(data []byte) bool { return st.Equal(base, data) })
 	if b != nil {
-		t.cfg.Store.Poke(t.cfg.NodeBase, b.nodes)
+		st.Restore(&b.nodes)
 		t.root = b.root
 	}
 	return b != nil
@@ -427,10 +442,10 @@ func (m *treeMemo) load(t *Tree) bool {
 
 // add remembers b unless a concurrent Build got there first, evicting the
 // oldest entry beyond buildMemoSize.
-func (m *treeMemo) add(b *builtTree) {
+func (m *treeMemo) add(b builtTree) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.find(b.dataBase, func(data []byte) bool { return bytes.Equal(data, b.data) }, b.versions) != nil {
+	if m.find(&b, func(data []byte) bool { return bytes.Equal(data, b.data) }) != nil {
 		return
 	}
 	if len(m.entries) == buildMemoSize {

@@ -42,12 +42,12 @@ type AlertPort struct {
 // NewAlertPort creates the port and subscribes it to log.
 func NewAlertPort(name string, base uint32, log *core.AlertLog) *AlertPort {
 	p := &AlertPort{name: name, base: base}
-	log.Subscribe(func(a core.Alert) {
+	log.Subscribe(func(a *core.Alert) {
 		if len(p.fifo) >= AlertQueueDepth {
 			p.Dropped++
 			return
 		}
-		p.fifo = append(p.fifo, a)
+		p.fifo = append(p.fifo, *a)
 		p.Delivered++
 		if p.IRQ != nil {
 			p.IRQ()

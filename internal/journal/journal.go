@@ -27,10 +27,12 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,19 +186,34 @@ func (j *Journal) AckShard(jobID string, index int, record []byte) error {
 // Term journals the job's terminal state and closes its log file.
 func (j *Journal) Term(jobID, state, errMsg string) error {
 	err := j.commit(entry{Op: "term", Job: jobID, State: state, Error: errMsg})
-	j.mu.Lock()
-	for i, of := range j.files {
-		if of.id == jobID {
-			of.f.Close()
-			j.files = append(j.files[:i], j.files[i+1:]...)
-			break
-		}
-	}
-	j.mu.Unlock()
+	j.closeFile(jobID)
 	if err != nil {
 		return err
 	}
 	return faultpoint.Hit("journal.term")
+}
+
+// Remove deletes the job's log, closing it first if it is open, and
+// fsyncs the directory, so no later Replay finds the job.
+func (j *Journal) Remove(jobID string) error {
+	j.closeFile(jobID)
+	if err := os.Remove(j.path(jobID)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("journal: %w", err)
+	}
+	return j.syncDir()
+}
+
+// closeFile closes the job's log file if it is open.
+func (j *Journal) closeFile(jobID string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for i, of := range j.files {
+		if of.id == jobID {
+			of.f.Close()
+			j.files = append(j.files[:i], j.files[i+1:]...)
+			return
+		}
+	}
 }
 
 // Close closes every open log file.
@@ -292,7 +309,9 @@ func (j *Journal) syncDir() error {
 }
 
 // Replay reads every job log in the directory and reconstructs the job
-// set, in file-name order. Undecodable content is handled per the
+// set, in job-id order: shorter ids first, then by name, which for the
+// server's zero-padded ids ("job-0001") is the order they were issued,
+// past "job-9999" too. Undecodable content is handled per the
 // write-ahead-log rule: the bad line and everything after it in that file
 // are discarded (counted in JobLog.Discarded), never fatal. A file whose
 // accept entry itself is unreadable yields no job — the job was never
@@ -305,7 +324,10 @@ func Replay(dir string) ([]JobLog, error) {
 		}
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	var logs []JobLog // os.ReadDir sorts by name
+	slices.SortFunc(ents, func(a, b os.DirEntry) int {
+		return cmp.Or(cmp.Compare(len(a.Name()), len(b.Name())), strings.Compare(a.Name(), b.Name()))
+	})
+	var logs []JobLog
 	for _, ent := range ents {
 		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".jnl") {
 			continue

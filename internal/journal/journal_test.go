@@ -68,6 +68,30 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayOrdersIDsAsIssued: ids outgrow their zero padding after
+// job-9999, and Replay still returns the jobs in the order they were
+// issued, which Restore keeps and evicts by.
+func TestReplayOrdersIDsAsIssued(t *testing.T) {
+	j := openT(t)
+	ids := []string{"job-0002", "job-0999", "job-9999", "job-10000", "job-10001", "job-100000"}
+	for _, id := range []string{"job-10001", "job-0999", "job-100000", "job-9999", "job-0002", "job-10000"} {
+		if err := j.Accept(id, []byte(`{"version":1}`), SubmitOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logs, err := Replay(j.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, lg := range logs {
+		got = append(got, lg.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(ids) {
+		t.Fatalf("Replay order %v, want %v", got, ids)
+	}
+}
+
 func TestReplayMissingDirIsEmpty(t *testing.T) {
 	logs, err := Replay(filepath.Join(t.TempDir(), "nope"))
 	if err != nil || logs != nil {

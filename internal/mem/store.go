@@ -6,6 +6,13 @@
 // and any firewall: that is the attacker's view of the *external* memory in
 // the paper's threat model (the FPGA is trusted; the external bus and
 // memory are not). Attack injectors in internal/attack use it.
+//
+// Pages are copy-on-write. Restore installs an Image's pages in a store
+// without copying them, so the LCF's seal memo, the hash tree's build memo
+// and every Snapshot hold one set of pages that any number of stores read,
+// in any number of goroutines. The sharing rule: a page shared with a memo
+// or an image is never written in place. A store copies a shared page into
+// a private one the first time a write lands in it.
 package mem
 
 import (
@@ -32,11 +39,25 @@ var zeroPage [pageSize]byte
 // Its contents live in pages of pageSize bytes, allocated on first write;
 // reads never allocate. The paging is invisible through the API: every
 // method behaves as over one zero-initialised array.
+//
+// A page the store shares with an Image (see Snapshot and Restore) is
+// never written in place: every write path (Write, Poke, Fill and the partial
+// pages of Restore) goes through page, which first copies a shared page
+// into one the store owns.
 type Store struct {
 	base  uint32
 	size  uint32
-	pages []*[pageSize]byte
+	pages []slot
 	gen   uint64
+}
+
+// slot is one entry of a store's page table: the page, nil while never
+// written, and whether an Image holds it too, in which case it is read
+// only. The flag lives in the table, so a store costs no allocation more
+// than the table itself.
+type slot struct {
+	page   *[pageSize]byte
+	shared bool
 }
 
 // NewStore returns a zeroed store of size bytes based at base. It
@@ -48,7 +69,7 @@ func NewStore(base, size uint32) *Store {
 	if uint64(base)+uint64(size) > 1<<32 {
 		panic(fmt.Sprintf("mem: store [%#x,+%#x) exceeds 32-bit space", base, size))
 	}
-	return &Store{base: base, size: size, pages: make([]*[pageSize]byte, (uint64(size)+pageSize-1)/pageSize)}
+	return &Store{base: base, size: size, pages: make([]slot, (uint64(size)+pageSize-1)/pageSize)}
 }
 
 // Base returns the first mapped address.
@@ -78,15 +99,19 @@ func (s *Store) offset(addr uint32, n int) int {
 	return int(addr - s.base)
 }
 
-// page returns the page holding offset o, allocating it if it was never
-// written.
+// page returns the page holding offset o for writing: it allocates the
+// page if it was never written, and copies it if an Image shares it. It
+// is the only place a store allocates a page.
 func (s *Store) page(o int) *[pageSize]byte {
-	p := s.pages[o>>pageShift]
-	if p == nil {
-		p = new([pageSize]byte)
-		s.pages[o>>pageShift] = p
+	sl := &s.pages[o>>pageShift]
+	switch {
+	case sl.page == nil:
+		sl.page = new([pageSize]byte)
+	case sl.shared:
+		c := *sl.page
+		sl.page, sl.shared = &c, false
 	}
-	return p
+	return sl.page
 }
 
 // Read returns the size-byte (1, 2 or 4) little-endian value at addr in the
@@ -95,7 +120,7 @@ func (s *Store) Read(addr uint32, size int) uint32 {
 	o := s.offset(addr, size)
 	var v uint32
 	if in := o & pageMask; in+size <= pageSize {
-		if p := s.pages[o>>pageShift]; p != nil {
+		if p := s.pages[o>>pageShift].page; p != nil {
 			for i := 0; i < size; i++ {
 				v |= uint32(p[in+i]) << (8 * i)
 			}
@@ -153,7 +178,7 @@ func (s *Store) copyOut(dst []byte, o int) {
 	for len(dst) > 0 {
 		in := o & pageMask
 		k := min(len(dst), pageSize-in)
-		if p := s.pages[o>>pageShift]; p != nil {
+		if p := s.pages[o>>pageShift].page; p != nil {
 			copy(dst, p[in:in+k])
 		} else {
 			clear(dst[:k])
@@ -170,7 +195,7 @@ func (s *Store) Equal(addr uint32, b []byte) bool {
 		in := o & pageMask
 		k := min(len(b), pageSize-in)
 		have := zeroPage[:k]
-		if p := s.pages[o>>pageShift]; p != nil {
+		if p := s.pages[o>>pageShift].page; p != nil {
 			have = p[in : in+k]
 		}
 		if !bytes.Equal(have, b[:k]) {
@@ -188,10 +213,15 @@ func (s *Store) Equal(addr uint32, b []byte) bool {
 func (s *Store) Poke(addr uint32, b []byte) {
 	o := s.offset(addr, len(b))
 	s.gen++
+	s.poke(o, b)
+}
+
+// poke is Poke at offset o, without advancing the generation.
+func (s *Store) poke(o int, b []byte) {
 	for len(b) > 0 {
 		in := o & pageMask
 		k := min(len(b), pageSize-in)
-		if s.pages[o>>pageShift] != nil || !bytes.Equal(b[:k], zeroPage[:k]) {
+		if s.pages[o>>pageShift].page != nil || !bytes.Equal(b[:k], zeroPage[:k]) {
 			copy(s.page(o)[in:], b[:k])
 		}
 		b, o = b[k:], o+k
@@ -206,7 +236,7 @@ func (s *Store) Fill(addr uint32, n int, v byte) {
 	for n > 0 {
 		in := o & pageMask
 		k := min(n, pageSize-in)
-		if v != 0 || s.pages[o>>pageShift] != nil {
+		if v != 0 || s.pages[o>>pageShift].page != nil {
 			seg := s.page(o)[in : in+k]
 			for i := range seg {
 				seg[i] = v
@@ -216,53 +246,74 @@ func (s *Store) Fill(addr uint32, n int, v byte) {
 	}
 }
 
-// Image is a saved copy of a Store's contents, taken by Snapshot: a
-// private copy of each page the store had allocated, nil for the pages it
-// had not.
+// Image is a saved copy of n bytes of a Store's address space: the pages
+// holding them, nil where a page was never written. Snapshot takes one of
+// a whole store by sharing the store's pages; NewImage makes one for the
+// caller to fill. Its pages are read only, so one image serves any number
+// of stores at once. It is positional: it restores into stores at the
+// base it was made for.
 type Image struct {
-	size  uint32
-	pages []*[pageSize]byte
+	base  uint32 // the base of the stores it restores into
+	addr  uint32 // its first byte
+	n     int
+	pages []*[pageSize]byte // the pages holding [addr, addr+n), first to last
 }
 
-// Snapshot saves the contents (attack replay support). It copies only the
-// allocated pages, in one allocation.
-func (s *Store) Snapshot() *Image {
-	img := &Image{size: s.size, pages: make([]*[pageSize]byte, len(s.pages))}
-	n := 0
-	for _, p := range s.pages {
-		if p != nil {
-			n++
-		}
+// NewImage returns a zeroed image of the n bytes at addr for stores based
+// at base, and those n bytes, which the caller fills before it restores
+// the image anywhere: from then on they are read only. Its pages are one
+// allocation, and it returns the image by value, so a memo entry holds it
+// without another. The seal and build memos compute into it and write the
+// same bytes into the store they seal with Poke, so that store keeps pages
+// of its own and a later write to them copies nothing.
+func NewImage(base, addr uint32, n int) (Image, []byte) {
+	lead := int((addr - base) & pageMask)
+	buf := make([]byte, (lead+n+pageSize-1)&^pageMask)
+	img := Image{base: base, addr: addr, n: n, pages: make([]*[pageSize]byte, len(buf)/pageSize)}
+	for i := range img.pages {
+		img.pages[i] = (*[pageSize]byte)(buf[i*pageSize:])
 	}
-	copies := make([][pageSize]byte, n)
-	for i, p := range s.pages {
-		if p != nil {
-			copies[0] = *p
-			img.pages[i], copies = &copies[0], copies[1:]
-		}
+	return img, buf[lead : lead+n]
+}
+
+// Snapshot saves the whole contents (attack replay support). It copies no
+// page: the image and the store share the pages, which the store
+// therefore copies before it next writes one. It does not advance the
+// generation.
+func (s *Store) Snapshot() *Image {
+	img := &Image{base: s.base, addr: s.base, n: int(s.size), pages: make([]*[pageSize]byte, len(s.pages))}
+	for i := range s.pages {
+		sl := &s.pages[i]
+		sl.shared = sl.page != nil
+		img.pages[i] = sl.page
 	}
 	return img
 }
 
-// Restore overwrites the full contents with an image of a store of the
-// same size. It copies the image's pages into the store's own pages,
-// allocating only those the store lacks, and drops the pages the image
-// does not hold, which therefore read as zeros again. The store never
-// aliases the image, so an image can be restored any number of times.
+// Restore writes an image's bytes to their addresses in a store at the
+// image's base, and advances the generation once. A page the image's
+// bytes cover to its end, or to the store's end, is installed shared, not
+// copied; a page they cover only in part is written byte by byte. A page
+// the image never had reads as zeros again. The image itself never
+// changes, so it can be restored any number of times, into any number of
+// stores.
 func (s *Store) Restore(img *Image) {
-	if img.size != s.size {
-		panic(fmt.Sprintf("mem: restore size %d != store size %d", img.size, s.size))
+	if img.base != s.base {
+		panic(fmt.Sprintf("mem: restore of an image of a store at %#x into a store at %#x", img.base, s.base))
 	}
+	o := s.offset(img.addr, img.n)
 	s.gen++
+	first, end := o>>pageShift, o+img.n
 	for i, p := range img.pages {
-		switch {
-		case p == nil:
-			s.pages[i] = nil
-		case s.pages[i] == nil:
-			c := *p
-			s.pages[i] = &c
-		default:
-			*s.pages[i] = *p
+		lo, hi := max(o, (first+i)<<pageShift), min(end, (first+i+1)<<pageShift)
+		if lo&pageMask == 0 && (hi&pageMask == 0 || hi == int(s.size)) {
+			s.pages[first+i] = slot{page: p, shared: p != nil}
+			continue
 		}
+		src := zeroPage[lo&pageMask : lo&pageMask+hi-lo]
+		if p != nil {
+			src = p[lo&pageMask : lo&pageMask+hi-lo]
+		}
+		s.poke(lo, src)
 	}
 }

@@ -292,8 +292,8 @@ func TestStoreMatchesFlatModel(t *testing.T) {
 // allocatedPages counts the pages s has allocated.
 func allocatedPages(s *Store) int {
 	n := 0
-	for _, p := range s.pages {
-		if p != nil {
+	for _, sl := range s.pages {
+		if sl.page != nil {
 			n++
 		}
 	}
@@ -353,7 +353,7 @@ func TestZeroWritesAllocateNoPage(t *testing.T) {
 	}
 
 	s.Poke(7*pageSize-1, []byte{0, 0, 9, 0}) // the zero byte stays in an unwritten page
-	if n := allocatedPages(s); n != 1 || s.pages[7] == nil {
+	if n := allocatedPages(s); n != 1 || s.pages[7].page == nil {
 		t.Fatalf("a poke with one non-zero byte allocated %d pages, want page 7 only", n)
 	}
 	s.Fill(10*pageSize-2, 4, 0xEE)
@@ -375,10 +375,12 @@ func TestZeroWritesAllocateNoPage(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsSparseAndPrivate: a snapshot copies only the allocated
-// pages; restoring it copies them back into the store's own pages, drops
-// the pages written since, advances the generation once, and leaves the
-// image unaliased, so writes after a restore do not reach it.
+// TestSnapshotIsSparseAndPrivate: a snapshot copies no page, it shares
+// the store's; restoring it installs the image's pages shared, drops the
+// pages written since, advances the generation once and allocates
+// nothing. The image stays private all the same: a write after a snapshot
+// or after a restore copies the page it lands in and never reaches the
+// image, so the image restores the same contents every time.
 func TestSnapshotIsSparseAndPrivate(t *testing.T) {
 	const size = 128 * pageSize // 512 KiB, the DDR's size
 	s := NewStore(0, size)
@@ -386,15 +388,18 @@ func TestSnapshotIsSparseAndPrivate(t *testing.T) {
 	s.WriteWord(100*pageSize+8, 0xC0DE)   // page 100
 	want := s.Peek(0, size)
 	var img *Image
-	if n := heapBytes(func() { img = s.Snapshot() }); n >= 4*pageSize {
-		t.Fatalf("snapshot of 3 allocated pages allocated %d bytes, want < %d", n, 4*pageSize)
+	if n := heapBytes(func() { img = s.Snapshot() }); n >= pageSize {
+		t.Fatalf("snapshot of 3 allocated pages allocated %d bytes, want < %d (the page table only)", n, pageSize)
 	}
 
 	s.WriteWord(10*pageSize, 0xFFFF_FFFF) // a page the image holds
 	s.WriteWord(50*pageSize, 1)           // a page it does not
+	if img.pages[10] == s.pages[10].page {
+		t.Fatal("a write after the snapshot landed in the image's page")
+	}
 	gen := s.Gen()
 	if n := heapBytes(func() { s.Restore(img) }); n != 0 {
-		t.Fatalf("restoring into the store's own pages allocated %d bytes", n)
+		t.Fatalf("restoring an image allocated %d bytes", n)
 	}
 	if s.Gen() != gen+1 {
 		t.Fatalf("Gen advanced by %d on Restore, want 1", s.Gen()-gen)
@@ -402,16 +407,17 @@ func TestSnapshotIsSparseAndPrivate(t *testing.T) {
 	if !bytes.Equal(s.Peek(0, size), want) {
 		t.Fatal("restored contents differ from the snapshot")
 	}
-	if s.pages[50] != nil || allocatedPages(s) != 3 {
-		t.Fatalf("restore left %d pages allocated (page 50: %v), want the image's 3", allocatedPages(s), s.pages[50] != nil)
+	if s.pages[50].page != nil || allocatedPages(s) != 3 {
+		t.Fatalf("restore left %d pages allocated (page 50: %v), want the image's 3", allocatedPages(s), s.pages[50].page != nil)
 	}
 	for i, p := range img.pages {
-		if p != nil && p == s.pages[i] {
-			t.Fatalf("page %d of the store aliases the image", i)
+		if p != s.pages[i].page || s.pages[i].shared != (p != nil) {
+			t.Fatalf("page %d of the store is not the image's, shared", i)
 		}
 	}
 
 	s.WriteWord(11*pageSize, 0xDEAD_BEEF)
+	s.Fill(100*pageSize, 16, 0x77)
 	s.Restore(img)
 	if !bytes.Equal(s.Peek(0, size), want) {
 		t.Fatal("a write after a restore reached the image")

@@ -28,7 +28,7 @@ func Attach(t *Tracer, s *soc.System) {
 	if t == nil {
 		return
 	}
-	s.Alerts.Subscribe(func(a core.Alert) {
+	s.Alerts.Subscribe(func(a *core.Alert) {
 		detail := fmt.Sprintf("%s %s @%#x/%dB", a.Master, a.Op, a.Addr, a.Size)
 		t.Emit(Event{Kind: KindDeny, Cycle: a.Cycle, Track: a.FirewallID,
 			Name: "deny", Arg: detail})

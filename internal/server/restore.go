@@ -34,6 +34,9 @@ func (s *Server) Restore() (resumed int, err error) {
 	if err != nil {
 		return 0, err
 	}
+	if logs, err = s.retain(logs); err != nil {
+		return 0, err
+	}
 	sum := &ReplaySummary{}
 	var pending []*Job
 	for _, lg := range logs {
@@ -76,6 +79,34 @@ func (s *Server) Restore() (resumed int, err error) {
 		}
 	}
 	return resumed, nil
+}
+
+// retain keeps at most MaxJobs of the replayed logs: beyond that it drops
+// the oldest finished jobs first, then the oldest interrupted ones, and
+// deletes their journal files, as a full table's submit evicts a job.
+func (s *Server) retain(logs []journal.JobLog) ([]journal.JobLog, error) {
+	excess := len(logs) - s.cfg.MaxJobs
+	if excess <= 0 {
+		return logs, nil
+	}
+	drop := make([]bool, len(logs))
+	for _, finished := range []bool{true, false} {
+		for i, lg := range logs {
+			if excess > 0 && !drop[i] && (lg.State != "") == finished {
+				drop[i] = true
+				excess--
+			}
+		}
+	}
+	kept := logs[:0]
+	for i, lg := range logs {
+		if !drop[i] {
+			kept = append(kept, lg)
+		} else if err := s.cfg.Journal.Remove(lg.ID); err != nil {
+			return nil, err
+		}
+	}
+	return kept, nil
 }
 
 // rebuild reconstructs one job from its journal log.

@@ -68,8 +68,12 @@ type Config struct {
 	// global pool); per-job worker counts are capped by it. Defaults to
 	// GOMAXPROCS.
 	Workers int
-	// MaxJobs bounds retained jobs; submissions beyond it are rejected
-	// with 429 until the server restarts. Defaults to 1024.
+	// MaxJobs bounds retained jobs. A submit to a full table evicts the
+	// oldest finished job (done, failed or canceled) and, on a journaled
+	// server, deletes its journal file, so a restart cannot bring it
+	// back; it is refused with 429 only while every retained job is
+	// still pending or running. Restore keeps at most MaxJobs jobs,
+	// dropping the oldest finished ones first. Defaults to 1024.
 	MaxJobs int
 	// SnapshotEvery is the /events cadence: a partial aggregate snapshot
 	// is published to subscribers every N records. Record counts, not
@@ -523,17 +527,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.traceLimit = traceLimit
 
 	s.mu.Lock()
+	var evicted *Job
 	if len(s.order) >= s.cfg.MaxJobs {
-		s.mu.Unlock()
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("job table full (%d jobs retained)", s.cfg.MaxJobs))
-		return
+		if evicted = s.oldestFinishedLocked(); evicted == nil {
+			s.mu.Unlock()
+			httpError(w, http.StatusTooManyRequests,
+				fmt.Sprintf("job table full (%d jobs retained, none finished)", s.cfg.MaxJobs))
+			return
+		}
+		s.removeLocked(evicted.id)
 	}
 	s.nextID++
 	j.id = fmt.Sprintf("job-%04d", s.nextID)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
+	if evicted != nil && evicted.journaled {
+		// The job is gone from the table either way; a log left behind
+		// comes back at the next Restore, which keeps MaxJobs at most.
+		if err := s.cfg.Journal.Remove(evicted.id); err != nil {
+			s.cfg.Host.Warn("evicted job's journal kept", hostobs.Fields{Job: evicted.id, Err: err.Error()})
+		}
+	}
 	// Adopt the coordinator's trace ID when this submit is a dispatched
 	// shard; mint one otherwise, so every job's spans stitch fleet-wide.
 	if j.traceID = r.Header.Get(traceHeader); j.traceID == "" {
@@ -603,6 +618,11 @@ func (s *Server) newJob(sp *spec.Spec, body []byte, opts journal.SubmitOpts) (*J
 func (s *Server) unregister(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.removeLocked(id)
+}
+
+// removeLocked drops a job from the table. The caller holds s.mu.
+func (s *Server) removeLocked(id string) {
 	delete(s.jobs, id)
 	for i, v := range s.order {
 		if v == id {
@@ -610,6 +630,23 @@ func (s *Server) unregister(id string) {
 			break
 		}
 	}
+}
+
+// oldestFinishedLocked returns the oldest retained job in a terminal
+// state, or nil when every job is still pending or running. The caller
+// holds s.mu; a job's state is read under its own lock, which finish
+// holds until the terminal state is journaled.
+func (s *Server) oldestFinishedLocked() *Job {
+	for _, id := range s.order {
+		j := s.jobs[id]
+		j.mu.Lock()
+		st := j.state
+		j.mu.Unlock()
+		if st == StateDone || st == StateFailed || st == StateCanceled {
+			return j
+		}
+	}
+	return nil
 }
 
 // startDetached claims the job and runs it in the background against a
@@ -1311,6 +1348,9 @@ func (s *Server) metricsSnapshot() Metrics {
 		s.mu.Lock()
 		j := s.jobs[id]
 		s.mu.Unlock()
+		if j == nil { // evicted since the copy
+			continue
+		}
 		j.mu.Lock()
 		state := j.state
 		j.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/campaign"
 	"repro/internal/faultpoint"
+	"repro/internal/journal"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 )
@@ -494,6 +496,115 @@ func TestJobTableBound(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-limit submit: status %d, want 429", resp.StatusCode)
+	}
+}
+
+// TestJobTableEvictsFinished: a full table makes room by evicting its
+// oldest finished job and that job's journal file, so a restart does not
+// bring it back, and refuses a submit only while every retained job is
+// still pending or running.
+func TestJobTableEvictsFinished(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, MaxJobs: 3, Journal: jn})
+	body := sweepSpecJSON(t)
+	var ids []string
+	for i := 0; i < 5; i++ {
+		id := submit(t, ts, body, "").ID
+		streamAll(t, ts, id)
+		ids = append(ids, id)
+	}
+	status := func(ts *httptest.Server, id string) int {
+		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
+		}
+		if got := status(ts, id); got != want {
+			t.Fatalf("job %s: status %d, want %d", id, got, want)
+		}
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, "*.jnl"))
+	if err != nil || len(logs) != 3 {
+		t.Fatalf("journal holds %d job files (%v), want 3", len(logs), err)
+	}
+	jn.Close()
+
+	jn2, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	life2, ts2 := newTestServer(t, Config{Workers: 1, MaxJobs: 3, Journal: jn2})
+	if _, err := life2.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	var restored []Status
+	getJSON(t, ts2.URL+"/api/v1/jobs", &restored)
+	if len(restored) != 3 || restored[0].ID != ids[2] || restored[2].ID != ids[4] {
+		t.Fatalf("restart restored %+v, want jobs %v", restored, ids[2:])
+	}
+
+	// Three pending jobs evict the three finished ones; a fourth finds
+	// none finished.
+	for i := 0; i < 3; i++ {
+		submit(t, ts2, body, "")
+	}
+	resp, err := http.Post(ts2.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit to a table of three pending jobs: status %d, want 429", resp.StatusCode)
+	}
+}
+
+// TestRestoreKeepsMaxJobs: a journal holding more jobs than MaxJobs
+// restores the newest finished ones and every interrupted one, dropping
+// the oldest finished jobs and their files.
+func TestRestoreKeepsMaxJobs(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Journal: jn})
+	body := sweepSpecJSON(t)
+	var ids []string
+	for i := 0; i < 4; i++ {
+		id := submit(t, ts, body, "").ID
+		if i != 1 { // job 1 stays pending: interrupted, as far as the journal knows
+			streamAll(t, ts, id)
+		}
+		ids = append(ids, id)
+	}
+	jn.Close()
+
+	jn2, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	life2, ts2 := newTestServer(t, Config{Workers: 1, MaxJobs: 2, Journal: jn2})
+	if resumed, err := life2.Restore(); err != nil || resumed != 1 {
+		t.Fatalf("Restore resumed %d jobs (%v), want 1", resumed, err)
+	}
+	var restored []Status
+	getJSON(t, ts2.URL+"/api/v1/jobs", &restored)
+	if len(restored) != 2 || restored[0].ID != ids[1] || restored[1].ID != ids[3] {
+		t.Fatalf("restored %+v, want jobs %s and %s", restored, ids[1], ids[3])
+	}
+	if logs, _ := filepath.Glob(filepath.Join(dir, "*.jnl")); len(logs) != 2 {
+		t.Fatalf("journal holds %d job files after Restore, want 2", len(logs))
 	}
 }
 

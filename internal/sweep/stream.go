@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 )
 
 // WriteJSONL runs this shard's portion of the grid and streams one compact
@@ -111,7 +112,9 @@ func writeCSVRows(cw *csv.Writer, r RunResult) error {
 
 // shardStream is one shard's JSONL stream during a merge: a scanner plus
 // the last line read, its parsed grid index, and whether that line still
-// waits to be written.
+// waits to be written. The line is a slice of the scanner's buffer: the
+// merge scans a shard again only after its held line is written, so the
+// bytes stay put until then.
 type shardStream struct {
 	id   int
 	sc   *bufio.Scanner
@@ -119,6 +122,7 @@ type shardStream struct {
 	line []byte // nil until the first line is read
 	held bool
 	done bool
+	last []byte // the last line and a newline, when the stream ends without one
 }
 
 // advance loads the stream's next non-empty line, parsing its index.
@@ -136,8 +140,7 @@ func (s *shardStream) advance() error {
 			return fmt.Errorf("sweep: shard %d: indices not strictly ascending (%d after %d)",
 				s.id, idx, s.idx)
 		}
-		s.idx, s.held = idx, true
-		s.line = append(s.line[:0], raw...)
+		s.idx, s.held, s.line = idx, true, raw
 		return nil
 	}
 	if err := s.sc.Err(); err != nil {
@@ -146,6 +149,26 @@ func (s *shardStream) advance() error {
 	s.done = true
 	return nil
 }
+
+// withNewline returns the held line followed by a newline. Inside the
+// scanner's buffer the line is followed by the newline that ended it —
+// unless it was the stream's last line, or trimmed whitespace came
+// between — so that slice is the answer, read and not written: the rest
+// of the buffer holds read-ahead bytes. Otherwise the line is copied.
+func (s *shardStream) withNewline() []byte {
+	if n := len(s.line); cap(s.line) > n && s.line[:n+1][n] == '\n' {
+		return s.line[:n+1]
+	}
+	s.last = append(append(s.last[:0], s.line...), '\n')
+	return s.last
+}
+
+// scanBufSize is the first buffer of a merge's shard scanner, which grows
+// past it only for a longer line; mergeBufs keeps those buffers from one
+// merge to the next, as a coordinator merges every job it runs.
+const scanBufSize = 64 << 10
+
+var mergeBufs = sync.Pool{New: func() any { return new([scanBufSize]byte) }}
 
 // lineIndex returns a record line's grid index, read from the line's first
 // key, which must be "index" (every record type leads with it), without
@@ -191,8 +214,10 @@ func lineIndex(raw []byte) (idx int, ok bool) {
 func Merge(w io.Writer, shards ...io.Reader) error {
 	streams := make([]*shardStream, len(shards))
 	for i, r := range shards {
+		buf := mergeBufs.Get().(*[scanBufSize]byte)
+		defer mergeBufs.Put(buf)
 		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+		sc.Buffer(buf[:0], 16*1024*1024)
 		streams[i] = &shardStream{id: i, sc: sc}
 	}
 	for next := 0; ; {
@@ -213,7 +238,7 @@ func Merge(w io.Writer, shards ...io.Reader) error {
 		case ready != nil:
 			next++
 			ready.held = false
-			if _, err := w.Write(append(ready.line, '\n')); err != nil {
+			if _, err := w.Write(ready.withNewline()); err != nil {
 				return err
 			}
 		case idle != nil:
