@@ -88,11 +88,13 @@ race:
 # searches past them, which matters most right after a change to the code
 # a target covers — FuzzMerge holds sweep.Merge to the priming merge it
 # replaced, FuzzCipherKernels both AES paths to crypto/aes, FuzzStore the
-# copy-on-write pages of mem.Store to a flat []byte.
+# copy-on-write pages of mem.Store to a flat []byte, FuzzTreeCache the
+# integrity tree's verified-node cache to the dense cache it replaced.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzCipherKernels$$' -fuzztime 10s ./internal/aes
 	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeCache$$' -fuzztime 10s ./internal/hashtree
 
 # modelcheck: the proof gate. Exhaustively enumerate the bounded
 # policy+reactor state space (internal/modelcheck) and fail on any
@@ -245,16 +247,18 @@ PR ?= 4
 # next at 7.7-8.5k — so a single process's min-of-N is only as fast as
 # that process.
 # BENCH_SUITE prints one sample of every benchmark of the suite, run from
-# the current directory. The coordinator's two layers, about a millisecond
-# an op each, run at 500x: BenchmarkMerge (internal/sweep: the merge of one
-# fleet-recovery job's two shard streams) and BenchmarkDecodeMergedLine
-# (internal/server: the decode and fold of that job's merged lines). The
-# grid-point layer, BenchmarkRunOne (internal/campaign: one campaign.RunOne
-# of three gated-workload-shaped points), runs at 20x, as a flood point
-# takes 10-20 ms.
+# the current directory. The coordinator's layers, under a millisecond an
+# op each, run at 500x: BenchmarkMerge (internal/sweep: the merge of one
+# fleet-recovery job's two shard streams), BenchmarkDecodeMergedLine
+# (internal/server: the decode and fold of that job's merged lines) and
+# BenchmarkAckShard/BenchmarkAckValid (internal/journal: the ack and fsync
+# of one such record, checked as by an outside caller or unchecked as by
+# the server). The grid-point layer, BenchmarkRunOne (internal/campaign:
+# one campaign.RunOne of three gated-workload-shaped points), runs at 20x,
+# as a flood point takes 10-20 ms.
 BENCH_SUITE = $(GO) test -run '^$$' -bench '$(BENCH_TOP)' -benchtime=3000x -benchmem . && \
 	$(GO) test -run '^$$' -bench . -benchtime=3000x -benchmem ./internal/aes ./internal/hashtree ./internal/core && \
-	$(GO) test -run '^$$' -bench '^Benchmark(Merge|DecodeMergedLine)$$' -benchtime=500x -benchmem ./internal/sweep ./internal/server && \
+	$(GO) test -run '^$$' -bench '^Benchmark(Merge|DecodeMergedLine|AckShard|AckValid)$$' -benchtime=500x -benchmem ./internal/sweep ./internal/server ./internal/journal && \
 	$(GO) test -run '^$$' -bench '^BenchmarkRunOne$$' -benchtime=20x -benchmem ./internal/campaign
 
 bench-json:

@@ -54,6 +54,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -216,11 +217,17 @@ func run(addr, debugAddr, journalDir string, drain time.Duration, level slog.Lev
 
 	if debugAddr != "" {
 		// pprof and the live flight recorder on their own listener, so the
-		// profiling surface is never exposed on the service port.
-		dbg := &http.Server{Addr: debugAddr, Handler: hostobs.DebugMux(host)}
-		go func() { dbg.ListenAndServe() }()
-		defer dbg.Close()
-		host.Info("debug listener up", hostobs.Fields{Detail: debugAddr})
+		// profiling surface is never exposed on the service port. The port
+		// is bound before anything is logged; one that cannot be bound is
+		// logged as an error, and the daemon serves on without it.
+		if ln, err := net.Listen("tcp", debugAddr); err != nil {
+			host.Error("debug listener failed", hostobs.Fields{Detail: debugAddr, Err: err.Error()})
+		} else {
+			dbg := &http.Server{Handler: hostobs.DebugMux(host)}
+			go func() { dbg.Serve(ln) }()
+			defer dbg.Close()
+			host.Info("debug listener up", hostobs.Fields{Detail: debugAddr})
+		}
 	}
 
 	errc := make(chan error, 1)

@@ -280,21 +280,24 @@
 // shard as an explicit poison record after -retry-max attempts rather
 // than failing the job. `mpsocd -coordinator -backends a,b,c` serves the
 // same spec API as a fleet front: one cost-balanced ?shard=i/n slice per
-// configured backend, merged via sweep.Merge into the single-node byte
-// stream, each line passed on as soon as it is next in grid order. A
+// configured backend, merged via sweep.MergeLines into the single-node
+// byte stream, each line passed on as soon as it is next in grid order. A
 // draining backend refuses the submit with 503 and the dispatch rotation
 // moves its shard to the next backend; mid-stream backend death is
 // handled by re-dispatching the shard and fast-forwarding past the
 // already-merged bytes. Merged lines and locally computed records reach
 // the client through one delivery step (write, flush, journal ack,
 // aggregate fold, archive), so a journaled coordinator acks, archives and
-// replays exactly like a single node. That step pays only for the bytes
-// it reads: a merged line is decoded for the fold without its nested
-// windows, cores and firewalls arrays (checked to be arrays, most of a
-// recovery record's ~33 KB), and the journal splices the line into its ack
-// entry verbatim instead of re-encoding it. Restore refuses a job whose
-// acks are not its grid points in stream order. internal/faultpoint
-// supplies the named, env-armed crash/error/stall sites
+// replays exactly like a single node. That step checks each merged line
+// once: the merge reads only its leading grid index, and one decode,
+// before the write, checks the whole line and reads what the fold needs,
+// without the nested windows, cores and firewalls arrays (checked to be
+// arrays, most of a recovery record's ~33 KB); a torn or mistyped line, or
+// one whose index is not the one it was merged at, fails the job before
+// any byte of it reaches the client. The journal splices the line into
+// its ack entry verbatim, unchecked and in a reused buffer. Restore
+// refuses a job whose acks are not its grid points in stream order.
+// internal/faultpoint supplies the named, env-armed crash/error/stall sites
 // (MPSOCD_FAULTPOINTS=journal.ack=crash@5) threaded through the journal,
 // the shard executor and the coordinator; disarmed they cost one atomic
 // load. `make chaos`

@@ -68,17 +68,17 @@ func TestHashAllocFree(t *testing.T) {
 	}
 }
 
-// TestMapCacheFlavourOnGiantTree: past denseCacheNodes the verified-node
-// cache switches to the map flavour so host memory stays O(CacheSize);
-// semantics (hits, eviction bound, tamper detection, reset) must match
-// the dense flavour.
-func TestMapCacheFlavourOnGiantTree(t *testing.T) {
-	const leaves = denseCacheNodes // 2*leaves > denseCacheNodes -> map flavour
+// TestCacheTableOnGiantTree: the verified-node cache's table is sized by
+// CacheSize, not by the tree — a 2^16-leaf tree with an 8-entry cache
+// gets 16 slots — and on such a tree the cache keeps its semantics: hits,
+// the eviction bound, tamper detection and the reset at Build.
+func TestCacheTableOnGiantTree(t *testing.T) {
+	const leaves = 1 << 16
 	st := mem.NewStore(0, leaves*LeafSize+NodesSize(leaves*LeafSize))
 	tr := MustNew(Config{Store: st, DataBase: 0, DataSize: leaves * LeafSize,
 		NodeBase: leaves * LeafSize, CacheSize: 8})
-	if tr.cacheMap == nil || tr.cacheStamp != nil {
-		t.Fatal("giant tree did not select the map cache flavour")
+	if len(tr.cache) != 16 {
+		t.Fatalf("cache table has %d slots, want 16 for 8 entries", len(tr.cache))
 	}
 	tr.Build()
 	for _, leaf := range []int{0, 1, leaves / 2, leaves - 1} {
@@ -86,24 +86,50 @@ func TestMapCacheFlavourOnGiantTree(t *testing.T) {
 			t.Fatalf("leaf %d failed", leaf)
 		}
 	}
-	if tr.CachedNodes() > 8 || len(tr.cacheMap) != tr.CachedNodes() {
-		t.Fatalf("cache occupancy %d (map %d), cap 8", tr.CachedNodes(), len(tr.cacheMap))
+	if tr.CachedNodes() > 8 {
+		t.Fatalf("cache occupancy %d, cap 8", tr.CachedNodes())
 	}
+	requireCacheMatchesFIFO(t, tr)
 	tr.VerifyLeaf(7)
 	if _, checks := tr.VerifyLeaf(7); checks >= tr.Depth()+1 {
 		t.Fatalf("warm verify cost %d, no cache effect", checks)
 	}
 	st.Poke(7*LeafSize, []byte{0xFF})
 	if ok, _ := tr.VerifyLeaf(7); ok {
-		t.Fatal("map-flavour cache masked tampering")
+		t.Fatal("cache masked tampering on a giant tree")
 	}
 	st.Poke(7*LeafSize, []byte{0x00})
 	if ok, _ := tr.UpdateLeaf(7); !ok {
 		t.Fatal("update failed")
 	}
 	tr.Build()
-	if tr.CachedNodes() != 0 || len(tr.cacheMap) != 0 {
-		t.Fatal("Build did not reset the map cache")
+	if tr.CachedNodes() != 0 {
+		t.Fatal("Build did not reset the cache")
+	}
+	requireCacheMatchesFIFO(t, tr)
+}
+
+// requireCacheMatchesFIFO fails unless the cache's table holds exactly the
+// nodes of its FIFO ring, each once and each found by a lookup.
+func requireCacheMatchesFIFO(t *testing.T, tr *Tree) {
+	t.Helper()
+	held := 0
+	for _, s := range tr.cache {
+		if s.node != 0 {
+			held++
+		}
+	}
+	if held != tr.fifoLen {
+		t.Fatalf("table holds %d nodes, FIFO ring %d", held, tr.fifoLen)
+	}
+	for k := 0; k < tr.fifoLen; k++ {
+		n := tr.fifo[(tr.fifoHead+k)%len(tr.fifo)]
+		if n == 1 {
+			continue // the root is found on chip, not in the table
+		}
+		if _, hit := tr.cacheGet(int(n)); !hit {
+			t.Fatalf("FIFO node %d is not found in the table", n)
+		}
 	}
 }
 

@@ -29,8 +29,8 @@
 // rounds run (on AES-NI where the CPU has it) and needs no schedule, so
 // hashing allocates nothing; the tree copies leaf data and node digests
 // into stack arrays (mem.Store.PeekInto), walks paths in fixed-size
-// arrays, and keeps the verified-node cache in slice-indexed arrays with a
-// FIFO ring instead of a map. Leaf and internal-node digests use
+// arrays, and keeps the verified-node cache in an open-addressed table
+// beside a FIFO ring instead of a map. Leaf and internal-node digests use
 // fixed-length, domain-separated compression chains (leafIV/nodeIV), so no
 // length block is needed on the hot path; the general Hash remains for
 // variable-length callers. With no schedule to reuse, the first step of a
@@ -171,13 +171,6 @@ func NodesSize(dataSize uint32) uint32 {
 // configuration.
 const maxDepth = 27
 
-// denseCacheNodes bounds the dense (slice-indexed) verified-node cache:
-// up to this many heap nodes — 1.25 MiB of stamp+digest arrays — lookups
-// are plain array indexing; larger trees fall back to the map-backed
-// cache so host memory stays proportional to CacheSize rather than the
-// tree.
-const denseCacheNodes = 1 << 16
-
 // pathStep is one (node, digest) pair collected during a verification
 // walk, kept in fixed arrays so walks allocate nothing.
 type pathStep struct {
@@ -195,21 +188,15 @@ type Tree struct {
 	root   Digest
 	// versions are the paper's on-chip time stamp tags, one per leaf.
 	versions []uint32
-	// Verified-node cache (on-chip): slice-indexed by heap node number
-	// when the tree is small enough for dense arrays (entry n is valid
-	// when cacheStamp[n] == cacheGen; Build invalidates everything by
-	// bumping the generation, eviction by zeroing the stamp), or a map
-	// keyed by node number beyond denseCacheNodes so host memory stays
-	// O(CacheSize) for giant protected regions. Both flavours share the
-	// FIFO ring that replays the insertion order the eviction policy
-	// needs, and both implement identical hit/evict semantics.
-	cacheDig   []Digest
-	cacheStamp []uint32
-	cacheGen   uint32
-	cacheMap   map[int32]Digest
-	fifo       []int32
-	fifoHead   int
-	fifoLen    int
+	// Verified-node cache (on-chip): an open-addressed table of node
+	// digests, keyed by heap node number, with linear probing and at
+	// least twice as many slots as the cache can hold entries, so host
+	// memory follows CacheSize whatever the tree's size; and the FIFO
+	// ring that replays the insertion order the eviction policy needs.
+	cache    []cacheSlot
+	fifo     []int32
+	fifoHead int
+	fifoLen  int
 	// Stats.
 	NodeChecks  uint64 // hash computations during verification
 	NodeUpdates uint64 // hash computations during updates
@@ -245,7 +232,6 @@ func New(cfg Config) (*Tree, error) {
 		cfg:      cfg,
 		leaves:   int(leaves),
 		versions: make([]uint32, leaves),
-		cacheGen: 1,
 	}
 	for l := t.leaves; l > 1; l >>= 1 {
 		t.depth++
@@ -254,12 +240,12 @@ func New(cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("hashtree: depth %d exceeds maximum %d", t.depth, maxDepth)
 	}
 	if cfg.CacheSize > 0 {
-		if 2*t.leaves <= denseCacheNodes {
-			t.cacheDig = make([]Digest, 2*t.leaves)
-			t.cacheStamp = make([]uint32, 2*t.leaves)
-		} else {
-			t.cacheMap = make(map[int32]Digest, cfg.CacheSize)
+		// The cache never holds more than the tree's 2*leaves-1 nodes.
+		slots := 2
+		for slots < 2*min(cfg.CacheSize, 2*t.leaves) {
+			slots <<= 1
 		}
+		t.cache = make([]cacheSlot, slots)
 		t.fifo = make([]int32, cfg.CacheSize)
 	}
 	return t, nil
@@ -454,21 +440,57 @@ func (m *treeMemo) add(b builtTree) {
 	m.entries = append(m.entries, b)
 }
 
-// cacheReset empties the verified-node cache — by advancing the
-// generation on the dense flavour, by clearing the map otherwise.
+// cacheSlot is one slot of the verified-node cache's table: a node
+// number (0, never a heap node, marks an empty slot) and its digest.
+type cacheSlot struct {
+	node int32
+	dig  Digest
+}
+
+// cacheHome is node n's preferred slot: a Fibonacci hash of the node
+// number, so the heap-consecutive nodes of a path spread over the table.
+func (t *Tree) cacheHome(n int32) int {
+	return int((uint32(n) * 0x9E3779B1) & uint32(len(t.cache)-1))
+}
+
+// cacheFind returns the slot holding node n, or the empty slot where it
+// would go. The table is never more than half full, so a probe ends.
+func (t *Tree) cacheFind(n int32) int {
+	mask := len(t.cache) - 1
+	i := t.cacheHome(n)
+	for t.cache[i].node != n && t.cache[i].node != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// cacheDelete empties slot i, then shifts back each later entry of its
+// probe run that may no longer be reachable from its home slot, so a
+// lookup can stop at the first empty slot without tombstones.
+func (t *Tree) cacheDelete(i int) {
+	mask := len(t.cache) - 1
+	for j := i; ; {
+		t.cache[i].node = 0
+		for {
+			j = (j + 1) & mask
+			if t.cache[j].node == 0 {
+				return
+			}
+			// The entry at j stays put when its home lies cyclically
+			// in (i, j]: a probe from there still reaches it.
+			if h := t.cacheHome(t.cache[j].node); (j-h)&mask >= (j-i)&mask {
+				break
+			}
+		}
+		t.cache[i] = t.cache[j]
+		i = j
+	}
+}
+
+// cacheReset empties the verified-node cache.
 func (t *Tree) cacheReset() {
 	t.fifoHead, t.fifoLen = 0, 0
-	if t.cacheMap != nil {
-		clear(t.cacheMap)
-		return
-	}
-	t.cacheGen++
-	if t.cacheGen == 0 { // generation wrapped: stale stamps could collide
-		for i := range t.cacheStamp {
-			t.cacheStamp[i] = 0
-		}
-		t.cacheGen = 1
-	}
+	clear(t.cache)
 }
 
 // cachePut installs a verified digest, evicting FIFO beyond CacheSize.
@@ -476,25 +498,16 @@ func (t *Tree) cachePut(n int, d Digest) {
 	if t.cfg.CacheSize <= 0 {
 		return
 	}
-	present := false
-	if t.cacheMap != nil {
-		_, present = t.cacheMap[int32(n)]
-	} else {
-		present = t.cacheStamp[n] == t.cacheGen
-	}
-	if !present {
+	i := t.cacheFind(int32(n))
+	if t.cache[i].node == 0 {
 		if t.fifoLen == t.cfg.CacheSize {
-			victim := t.fifo[t.fifoHead]
-			if t.cacheMap != nil {
-				delete(t.cacheMap, victim)
-			} else {
-				t.cacheStamp[victim] = 0
-			}
+			t.cacheDelete(t.cacheFind(t.fifo[t.fifoHead]))
 			t.fifoHead++
 			if t.fifoHead == len(t.fifo) {
 				t.fifoHead = 0
 			}
 			t.fifoLen--
+			i = t.cacheFind(int32(n))
 		}
 		tail := t.fifoHead + t.fifoLen
 		if tail >= len(t.fifo) {
@@ -502,15 +515,9 @@ func (t *Tree) cachePut(n int, d Digest) {
 		}
 		t.fifo[tail] = int32(n)
 		t.fifoLen++
-		if t.cacheMap == nil {
-			t.cacheStamp[n] = t.cacheGen
-		}
+		t.cache[i].node = int32(n)
 	}
-	if t.cacheMap != nil {
-		t.cacheMap[int32(n)] = d
-	} else {
-		t.cacheDig[n] = d
-	}
+	t.cache[i].dig = d
 }
 
 // cacheGet returns the trusted digest for node n if present. The root is
@@ -522,12 +529,8 @@ func (t *Tree) cacheGet(n int) (Digest, bool) {
 	if t.cfg.CacheSize <= 0 {
 		return Digest{}, false
 	}
-	if t.cacheMap != nil {
-		d, ok := t.cacheMap[int32(n)]
-		return d, ok
-	}
-	if t.cacheStamp[n] == t.cacheGen {
-		return t.cacheDig[n], true
+	if s := &t.cache[t.cacheFind(int32(n))]; s.node != 0 {
+		return s.dig, true
 	}
 	return Digest{}, false
 }

@@ -219,16 +219,8 @@ func TestCacheEviction(t *testing.T) {
 	if tr.CachedNodes() > 2 {
 		t.Fatalf("cache grew to %d entries, cap 2", tr.CachedNodes())
 	}
-	// The stamp array must agree with the FIFO occupancy.
-	valid := 0
-	for _, s := range tr.cacheStamp {
-		if s == tr.cacheGen {
-			valid++
-		}
-	}
-	if valid != tr.fifoLen {
-		t.Fatalf("stamp count %d != fifo length %d", valid, tr.fifoLen)
-	}
+	// The table must agree with the FIFO occupancy.
+	requireCacheMatchesFIFO(t, tr)
 }
 
 func TestSingleLeafTree(t *testing.T) {

@@ -66,6 +66,7 @@ type Journal struct {
 
 	mu    sync.Mutex
 	files []openFile // open per-job logs, closed at Term; a slice, not a map, so iteration order is deterministic and the lint stays clean
+	line  []byte     // the entry line being appended, reused from one append to the next
 }
 
 // openFile is one open per-job log. A slice with linear scan: the open set
@@ -155,33 +156,42 @@ func (j *Journal) Accept(jobID string, spec []byte, opts SubmitOpts) error {
 
 // AckShard journals one completed shard: the grid index and the exact
 // JSONL record line (without newline) it contributed to the stream. A
-// record that is not valid JSON is refused before anything is written.
-// The record's bytes go into the entry verbatim: a record line marshaled
-// by encoding/json is already compact and escaped, so the entry equals
-// the one json.Marshal would write, without scanning and copying the
-// record again. The armed faultpoint "journal.ack" fires after the entry
-// is durable — the worst possible crash instant, since the very next step
-// would have used it.
+// record that is not valid JSON is refused before anything is written;
+// then the record is acked as by AckValid.
 func (j *Journal) AckShard(jobID string, index int, record []byte) error {
 	if !json.Valid(record) {
 		return fmt.Errorf("journal: ack %d of %s: record is not valid JSON", index, jobID)
 	}
+	return j.AckValid(jobID, index, record)
+}
+
+// AckValid is AckShard for a record its caller has already found to be
+// valid JSON — one it marshaled, or one it decoded — so the record is not
+// scanned again. The record's bytes go into the entry verbatim: a record
+// line marshaled by encoding/json is already compact and escaped, so the
+// entry equals the one json.Marshal would write. The entry is assembled
+// in a buffer the journal reuses, so an ack allocates nothing the size of
+// its record. The armed faultpoint "journal.ack" fires after the entry is
+// durable — the worst possible crash instant, since the very next step
+// would have used it.
+func (j *Journal) AckValid(jobID string, index int, record []byte) error {
 	head, err := json.Marshal(entry{Op: "ack", Job: jobID, Index: &index})
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	// head is {"op":"ack","job":…,"index":…}, and record is the last
 	// field an ack carries, so it goes in place of the closing brace.
-	line := make([]byte, 0, len(head)+len(`,"record":`)+len(record)+len("}\n"))
-	line = append(line, head[:len(head)-1]...)
-	line = append(line, `,"record":`...)
-	line = append(line, record...)
-	line = append(line, "}\n"...)
-	if err := j.append(jobID, "ack", line); err != nil {
+	if err := j.append(jobID, "ack", head[:len(head)-1], recordKey, record, ackEnd); err != nil {
 		return err
 	}
 	return faultpoint.Hit("journal.ack")
 }
+
+// recordKey and ackEnd are the bytes an ack entry puts around its record.
+var (
+	recordKey = []byte(`,"record":`)
+	ackEnd    = []byte("}\n")
+)
 
 // Term journals the job's terminal state and closes its log file.
 func (j *Journal) Term(jobID, state, errMsg string) error {
@@ -254,13 +264,16 @@ func (j *Journal) commit(e entry) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	return j.append(e.Job, e.Op, append(data, '\n'))
+	return j.append(e.Job, e.Op, data, newline)
 }
 
-// append writes and fsyncs one entry line, newline included. The write
-// itself is a single Write call, so a crash mid-append can only leave a
-// truncated final line — the case Replay tolerates.
-func (j *Journal) append(jobID, op string, line []byte) error {
+var newline = []byte("\n")
+
+// append writes and fsyncs one entry line: the concatenation of parts,
+// newline included, assembled in j.line under the lock that serialises
+// appends. The write itself is a single Write call, so a crash mid-append
+// can only leave a truncated final line — the case Replay tolerates.
+func (j *Journal) append(jobID, op string, parts ...[]byte) error {
 	if err := faultpoint.Hit("journal.append"); err != nil {
 		return err
 	}
@@ -270,6 +283,11 @@ func (j *Journal) append(jobID, op string, line []byte) error {
 	}
 	var t0, dur int64
 	j.mu.Lock()
+	line := j.line[:0]
+	for _, p := range parts {
+		line = append(line, p...)
+	}
+	j.line = line
 	if _, err := f.Write(line); err != nil {
 		j.mu.Unlock()
 		return fmt.Errorf("journal: %w", err)

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/faultpoint"
@@ -281,24 +284,53 @@ func TestObserveNotCalledOnRefusedAppend(t *testing.T) {
 	}
 }
 
-// recordLines returns real record lines as a server streams them: the
-// four points of a recovery campaign (with throughput windows), the first
-// points of a benign sweep, and a campaign record whose strings hold the
-// characters json.Marshal escapes (<, >, &).
-func recordLines(t *testing.T) [][]byte {
+// recoveryRecords runs the four points of a recovery campaign shaped like
+// perfbench's fleet-recovery jobs, whose records carry throughput windows:
+// with 128 accesses, the workload's mean, they are 2.8-64 KB a line and
+// about 33 KB on average.
+func recoveryRecords(t testing.TB, accesses int) []any {
 	t.Helper()
 	camp, err := spec.NewCampaign(spec.CampaignSpec{
 		Scenarios:   []string{"burst-flood", "zone-escape"},
 		Protections: []string{"distributed"},
 		Cores:       []int{3},
 		Backgrounds: []string{"stream", "secure-scrub"},
-		Accesses:    96,
+		Accesses:    accesses,
 		InjectDelay: 100,
 		Recovery:    &spec.RecoverySpec{Enabled: true, Staged: true, ClearDelay: 1500},
 	}).Campaign.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var recs []any
+	for i, cfg := range camp {
+		r := campaign.RunOne(cfg)
+		r.Index = i
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// marshalLines marshals records into lines as a server streams them.
+func marshalLines(t testing.TB, recs []any) [][]byte {
+	t.Helper()
+	var lines [][]byte
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, line)
+	}
+	return lines
+}
+
+// recordLines returns real record lines as a server streams them: the
+// four points of a recovery campaign (with throughput windows), the first
+// points of a benign sweep, and a campaign record whose strings hold the
+// characters json.Marshal escapes (<, >, &).
+func recordLines(t *testing.T) [][]byte {
+	t.Helper()
 	swp, err := spec.NewSweep(spec.SweepSpec{
 		Protections: []string{"unprotected", "distributed", "centralized"},
 		Workloads:   []string{"stream"},
@@ -310,36 +342,26 @@ func recordLines(t *testing.T) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []any
-	for i, cfg := range camp {
-		r := campaign.RunOne(cfg)
-		r.Index = i
-		recs = append(recs, r)
-	}
+	recs := recoveryRecords(t, 96)
 	for i, cfg := range swp {
 		r := sweep.RunOne(cfg)
 		r.Index = i
 		recs = append(recs, r)
 	}
 	recs = append(recs, campaign.Record{Index: 9, Name: "<script>&amp;", Goal: "a > b && b < c"})
-	var lines [][]byte
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, line)
-	}
+	lines := marshalLines(t, recs)
 	if last := lines[len(lines)-1]; !bytes.Contains(last, []byte(`\u003cscript\u003e\u0026amp;`)) {
 		t.Fatalf("escaped record marshals as %s; want json.Marshal's HTML escapes", last)
 	}
 	return lines
 }
 
-// TestAckLineIsTheMarshaledEntry: AckShard splices the record into the
-// entry verbatim, and the line it writes equals what json.Marshal of the
-// entry (which re-encodes the record) plus a newline would have written;
-// Replay hands each record back byte for byte.
+// TestAckLineIsTheMarshaledEntry: AckShard and AckValid, taking turns,
+// splice the record into the entry verbatim, and the line each writes
+// equals what json.Marshal of the entry (which re-encodes the record) plus
+// a newline would have written, though the records shrink and grow from
+// one ack to the next in the journal's reused buffer; Replay hands each
+// record back byte for byte, and the term entry after them.
 func TestAckLineIsTheMarshaledEntry(t *testing.T) {
 	j := openT(t)
 	if err := j.Accept("job-0001", []byte(`{"version":1}`), SubmitOpts{Mode: "stream"}); err != nil {
@@ -352,7 +374,11 @@ func TestAckLineIsTheMarshaledEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.AckShard("job-0001", i, line); err != nil {
+		ack := j.AckShard
+		if i%2 == 1 {
+			ack = j.AckValid
+		}
+		if err := ack("job-0001", i, line); err != nil {
 			t.Fatal(err)
 		}
 		after, err := os.ReadFile(j.path("job-0001"))
@@ -373,12 +399,15 @@ func TestAckLineIsTheMarshaledEntry(t *testing.T) {
 	if windows == 0 {
 		t.Fatal("no record carries throughput windows; the recovery records are vacuous")
 	}
+	if err := j.Term("job-0001", "done", ""); err != nil {
+		t.Fatal(err)
+	}
 	logs, err := Replay(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(logs) != 1 || len(logs[0].Acks) != len(lines) {
-		t.Fatalf("replayed %+v, want one job with %d acks", logs, len(lines))
+	if len(logs) != 1 || len(logs[0].Acks) != len(lines) || logs[0].State != "done" || logs[0].Discarded != 0 {
+		t.Fatalf("replayed %+v, want one done job with %d acks", logs, len(lines))
 	}
 	for i, ack := range logs[0].Acks {
 		if ack.Index != i || !bytes.Equal(ack.Record, lines[i]) {
@@ -416,4 +445,117 @@ func TestAckShardRefusesInvalidRecord(t *testing.T) {
 				bad, len(before), len(after), appends, j.Appends())
 		}
 	}
+}
+
+// TestAckAllocatesNoRecord: once the journal's entry buffer has grown to
+// the largest record, an ack allocates less than 1 KiB, whatever the size
+// of its record — the records here are a fleet-recovery job's, 2.8-64 KB.
+func TestAckAllocatesNoRecord(t *testing.T) {
+	j := openT(t)
+	if err := j.Accept("job-0001", []byte(`{}`), SubmitOpts{Mode: "stream"}); err != nil {
+		t.Fatal(err)
+	}
+	lines := marshalLines(t, recoveryRecords(t, 128))
+	for i, line := range lines {
+		if err := j.AckShard("job-0001", i, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		for i, line := range lines {
+			if err := j.AckShard("job-0001", i, line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(lines)); per >= 1024 {
+		t.Fatalf("an ack allocates %d B, want < 1 KiB", per)
+	}
+}
+
+// TestConcurrentAcksKeepTheirBytes: the entry buffer the journal reuses is
+// shared by every job's acks, so acks of records of different sizes from
+// several goroutines at once must each land whole: every job's log replays
+// every record it acked, byte for byte.
+func TestConcurrentAcksKeepTheirBytes(t *testing.T) {
+	j := openT(t)
+	lines := marshalLines(t, recoveryRecords(t, 128))
+	const jobs, rounds = 4, 4
+	for g := 0; g < jobs; g++ {
+		if err := j.Accept(fmt.Sprintf("job-%04d", g), []byte(`{}`), SubmitOpts{Mode: "stream"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < jobs; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds*len(lines); k++ {
+				ack := j.AckShard
+				if (g+k)%2 == 1 {
+					ack = j.AckValid
+				}
+				if err := ack(fmt.Sprintf("job-%04d", g), k, lines[(g+k)%len(lines)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	logs, err := Replay(j.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != jobs {
+		t.Fatalf("replayed %d jobs, want %d", len(logs), jobs)
+	}
+	for g, lg := range logs {
+		if len(lg.Acks) != rounds*len(lines) || lg.Discarded != 0 {
+			t.Fatalf("%s: %d acks, %d lines discarded; want %d and 0", lg.ID, len(lg.Acks), lg.Discarded, rounds*len(lines))
+		}
+		for k, ack := range lg.Acks {
+			if ack.Index != k || !bytes.Equal(ack.Record, lines[(g+k)%len(lines)]) {
+				t.Fatalf("%s ack %d: index %d, record intact %v", lg.ID, k, ack.Index, bytes.Equal(ack.Record, lines[(g+k)%len(lines)]))
+			}
+		}
+	}
+}
+
+// BenchmarkAckShard times the journal-ack layer as an outside caller
+// reaches it: one op acks one record of a fleet-recovery-shaped job
+// (2.8-64 KB, about 33 KB on average), the job's four records in turn,
+// checking it is valid JSON and fsyncing it. fsync-ns/op is the part of an
+// op spent in fsync, read from the journal's own counter.
+func BenchmarkAckShard(b *testing.B) { benchAck(b, (*Journal).AckShard) }
+
+// BenchmarkAckValid is BenchmarkAckShard on the server's path, which acks
+// records it has marshaled or decoded without checking them again.
+func BenchmarkAckValid(b *testing.B) { benchAck(b, (*Journal).AckValid) }
+
+func benchAck(b *testing.B, ack func(j *Journal, jobID string, index int, record []byte) error) {
+	lines := marshalLines(b, recoveryRecords(b, 128))
+	j, err := Open(b.TempDir(), Options{NowNanos: func() int64 { return time.Now().UnixNano() }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Accept("job-0001", []byte(`{}`), SubmitOpts{Mode: "stream"}); err != nil {
+		b.Fatal(err)
+	}
+	fsync0 := j.FsyncNanos()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if err := ack(j, "job-0001", i%len(lines), lines[i%len(lines)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+	b.ReportMetric(float64(j.FsyncNanos()-fsync0)/float64(b.N), "fsync-ns/op")
 }

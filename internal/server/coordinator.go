@@ -19,32 +19,36 @@ import (
 // cost-balanced sub-shard per configured backend (sweep.Shard.Slice weighs
 // grid points by simulated work, so backends finish together), POSTs the
 // spec with ?shard=i/n&mode=stream to each, and merges the shard streams
-// back through sweep.Merge — producing the exact byte stream a single-node
-// run of the same spec would have, which is what the chaos gate checks.
+// back through sweep.MergeLines — producing the exact byte stream a
+// single-node run of the same spec would have, which is what the chaos
+// gate checks.
 // Membership is decided at dispatch: a draining backend refuses the submit
 // with 503 and a dead one refuses the connection, and either way the
 // dispatch rotation moves that shard whole to the next backend.
 //
-// The merge is only a record source. Each merged line goes to the same
-// deliver step as a locally computed record (server.go): written and
-// flushed to the client, then decoded for the fold only (the nested
-// windows, cores and firewalls arrays, most of a recovery record's bytes,
-// are skipped), acked to the journal verbatim, folded into the aggregates
-// and archived — so /aggregates, /events, records counts and journal
-// replay behave on a coordinator exactly as on a single node. A
-// coordinator serves no per-run traces: it runs no simulation, so it
-// rejects ?trace=N at submit.
+// The merge is only a record source: it orders lines by the grid index
+// each leads with and checks nothing else of them. Each merged line goes
+// to the same deliver step as a locally computed record (server.go):
+// decoded first, for the fold only (the nested windows, cores and
+// firewalls arrays, most of a recovery record's bytes, are skipped), so
+// that one decode is the line's one check and refuses a torn, mistyped or
+// misindexed backend line before any byte of it reaches the client; then
+// written and flushed to the client, acked to the journal verbatim, folded
+// into the aggregates and archived — so /aggregates, /events, records
+// counts and journal replay behave on a coordinator exactly as on a single
+// node. A coordinator serves no per-run traces: it runs no simulation, so
+// it rejects ?trace=N at submit.
 //
 // The design is goroutine-free (keeping the determinism lint clean): each
 // backend stream is dispatched sequentially — cheap, because handleStream
 // flushes response headers before running, so the dispatch returns as soon
 // as the backend accepts — and the concurrency lives server-side in the
-// backends. Merge then consumes the live bodies, holding at most one line
-// per shard and passing each line on as soon as it is next in grid order,
-// without waiting on the other shards. That bound is also the fleet's
-// backpressure: a slow coordinator client stalls Merge, which stops
-// reading backend streams, which stalls backend emission through their
-// own credit gates.
+// backends. The merge then consumes the live bodies, holding at most one
+// line per shard and passing each line on as soon as it is next in grid
+// order, without waiting on the other shards. That bound is also the
+// fleet's backpressure: a slow coordinator client stalls the merge, which
+// stops reading backend streams, which stalls backend emission through
+// their own credit gates.
 //
 // Failover is byte-offset resume: every backend stream is wrapped in a
 // fleetStream that counts consumed bytes; when a backend dies mid-stream
@@ -94,20 +98,9 @@ func (s *Server) runFleet(ctx context.Context, j *Job, deliver func(record) erro
 		streams[i] = fs
 		closers = append(closers, fs)
 	}
-	return sweep.Merge(lineWriter(func(p []byte) error {
-		return deliver(record{line: bytes.TrimSuffix(p, []byte("\n"))})
-	}), streams...)
-}
-
-// lineWriter adapts a line consumer to sweep.Merge's output, which
-// writes exactly one merged line per call.
-type lineWriter func(p []byte) error
-
-func (f lineWriter) Write(p []byte) (int, error) {
-	if err := f(p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+	return sweep.MergeLines(streams, func(index int, line []byte) error {
+		return deliver(record{index: index, line: line})
+	})
 }
 
 // fleetStream is one sub-shard's merged input: a live backend response

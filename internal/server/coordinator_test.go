@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,8 +36,8 @@ func newFleet(t *testing.T, n int, cfg Config) (*Server, *httptest.Server, []*Se
 }
 
 // TestRecordsLeadWithIndex: the coordinator's merge reads a backend line's
-// grid index from its first key alone (sweep.Merge), so both record types
-// it merges must marshal their index first.
+// grid index from its first key alone (sweep.MergeLines), so both record
+// types it merges must marshal their index first.
 func TestRecordsLeadWithIndex(t *testing.T) {
 	for _, rec := range []any{sweep.RunResult{Index: 7, Name: "n"}, campaign.Record{Index: 7, Name: "n"}} {
 		line, err := json.Marshal(rec)
@@ -310,5 +311,67 @@ func testJournaledCoordinator(t *testing.T, body []byte) {
 	getJSON(t, ts2.URL+"/api/v1/jobs/"+st.ID+"/aggregates", &gotAgg)
 	if !bytes.Equal(gotAgg, wantAgg) {
 		t.Fatalf("restored coordinator aggregates differ:\n got %s\nwant %s", gotAgg, wantAgg)
+	}
+}
+
+// cannedBackend answers a coordinator's shard dispatch with a fixed stream:
+// the submit is accepted, and the stream GET returns body verbatim.
+type cannedBackend struct{ body []byte }
+
+func (c cannedBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost {
+		w.WriteHeader(http.StatusCreated)
+		json.NewEncoder(w).Encode(Status{ID: "job-0001", StreamURL: "/stream"})
+		return
+	}
+	w.Write(c.body)
+}
+
+// TestFleetRefusesBadBackendLine: the merge reads only a line's leading
+// index, so the coordinator's decode must refuse a bad backend line before
+// any byte of it is written. After two good lines a backend streams a
+// torn line, a line that does not lead with its index, a line with a
+// mistyped field, or a line whose last "index" key names another point.
+// The client gets the good lines and nothing of the bad one, the job
+// fails, and the journal acks only the good lines.
+func TestFleetRefusesBadBackendLine(t *testing.T) {
+	body := campaignSpecJSON(t)
+	_, single := newTestServer(t, Config{Workers: 2})
+	full := streamAll(t, single, submit(t, single, body, "").ID)
+	good := full[:bytes.Index(full, []byte(`{"index":2,`))]
+	for _, tc := range []struct{ name, line string }{
+		{"torn", `{"index":2,"name":"torn`},
+		{"index-not-first", `{"name":"x","index":2}`},
+		{"mistyped-windows", `{"index":2,"windows":5}`},
+		{"second-index", `{"index":2,"name":"x","index":7}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := httptest.NewServer(cannedBackend{append(slices.Clip(good), tc.line+"\n"...)})
+			t.Cleanup(backend.Close)
+			dir := t.TempDir()
+			jn, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(jn.Close)
+			_, coordTS := newTestServer(t, Config{Workers: 2, Journal: jn, Backends: []string{backend.URL}})
+			st := submit(t, coordTS, body, "")
+			if got := streamAll(t, coordTS, st.ID); !bytes.Equal(got, good) {
+				t.Fatalf("client got %d bytes, ending %q; want the %d bytes of the two good lines only",
+					len(got), got[max(0, len(got)-60):], len(good))
+			}
+			var end Status
+			getJSON(t, coordTS.URL+"/api/v1/jobs/"+st.ID, &end)
+			if end.State != StateFailed {
+				t.Fatalf("job = %s, want failed", end.State)
+			}
+			logs, err := journal.Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(logs) != 1 || len(logs[0].Acks) != 2 || logs[0].Acks[0].Index != 0 || logs[0].Acks[1].Index != 1 {
+				t.Fatalf("journal = %+v, want acks of grid points 0 and 1 only", logs)
+			}
+		})
 	}
 }

@@ -104,12 +104,9 @@ func TestDecodeMatchesFullDecode(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			j, lines := jobLines(t, tc.body)
 			for i, line := range lines {
-				got, index, err := j.decode(line)
+				got, err := j.decode(line, i)
 				if err != nil {
 					t.Fatalf("line %d: %v", i, err)
-				}
-				if index != i {
-					t.Fatalf("line %d decoded index %d", i, index)
 				}
 				var want any
 				if j.campaignGrid != nil {
@@ -139,7 +136,9 @@ func TestDecodeMatchesFullDecode(t *testing.T) {
 }
 
 // TestDecodeRefusesMistypedFields: a skipped array must still be an array
-// (or null), and every other field keeps its type check.
+// (or null), every other field keeps its type check, the line must be
+// valid JSON to its end, and its index must be the grid index it was
+// given at, in the last "index" key too.
 func TestDecodeRefusesMistypedFields(t *testing.T) {
 	s := New(Config{Workers: 1})
 	t.Cleanup(s.Close)
@@ -159,8 +158,14 @@ func TestDecodeRefusesMistypedFields(t *testing.T) {
 		{swp, `{"index":0,"firewalls":5}`, false},
 		{swp, `{"index":0,"cycles":"many"}`, false},
 		{swp, `{"index":0,"cores":[{}],"firewalls":null,"cycles":7}`, true},
+		{camp, `{"index":0,"name":"torn`, false},
+		{camp, `{"index":0} {}`, false},
+		{camp, `{"index":1}`, false},
+		{camp, `{"index":0,"name":"x","index":7}`, false},
+		{swp, `{"index":0,"Index":7}`, false},
+		{swp, `{"index":0,"name":"x","index":0}`, true},
 	} {
-		_, _, err := tc.j.decode([]byte(tc.line))
+		_, err := tc.j.decode([]byte(tc.line), 0)
 		if (err == nil) != tc.ok {
 			t.Errorf("decode(%s): err %v, want accepted=%v", tc.line, err, tc.ok)
 		}
@@ -171,8 +176,9 @@ func TestDecodeRefusesMistypedFields(t *testing.T) {
 }
 
 // BenchmarkDecodeMergedLine times what a coordinator does with each merged
-// line after writing it: decode plus fold, over the four lines (2.5-49 KB)
-// of a fleet-recovery-shaped job. One op is the whole job.
+// line besides writing and acking it: decode, before the write, plus fold,
+// over the four lines (2.5-49 KB) of a fleet-recovery-shaped job. One op
+// is the whole job.
 func BenchmarkDecodeMergedLine(b *testing.B) {
 	j, lines := jobLines(b, recoveryCampaignSpecJSON(b))
 	var size int64
@@ -182,12 +188,12 @@ func BenchmarkDecodeMergedLine(b *testing.B) {
 	b.SetBytes(size)
 	b.ReportAllocs()
 	for b.Loop() {
-		for _, line := range lines {
-			rec, index, err := j.decode(line)
+		for i, line := range lines {
+			rec, err := j.decode(line, i)
 			if err != nil {
 				b.Fatal(err)
 			}
-			j.foldLocked(record{index: index, rec: rec})
+			j.foldLocked(record{index: i, rec: rec})
 		}
 	}
 }

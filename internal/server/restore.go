@@ -133,7 +133,7 @@ func (s *Server) rebuild(lg journal.JobLog) (*Job, error) {
 		j.state = lg.State
 		j.errMsg = lg.ErrMsg
 		for _, ack := range lg.Acks {
-			rec, _, err := j.decode(ack.Record)
+			rec, err := j.decode(ack.Record, ack.Index)
 			if err != nil {
 				return nil, err
 			}

@@ -8,11 +8,11 @@
 // Every record leaves its job through one path, deliver. A job has two
 // record sources: the local worker pool (computed grid points and, after a
 // restart, the journaled lines of acked points) or, on a fleet
-// coordinator, sweep.Merge over the backend streams. Both hand each record
-// to deliver in grid order, which writes and flushes its line, then acks
-// it to the journal, folds it into the aggregates, archives it, accounts
-// its host bytes and publishes the /events snapshot — so a job behaves the
-// same whichever source fed it.
+// coordinator, sweep.MergeLines over the backend streams. Both hand each
+// record to deliver in grid order, which decodes a given line, writes and
+// flushes its line, then acks it to the journal, folds it into the
+// aggregates, archives it, accounts its host bytes and publishes the
+// /events snapshot — so a job behaves the same whichever source fed it.
 //
 // Backpressure falls out of that structure rather than being bolted on: a
 // slow client blocks its ResponseWriter, which stalls emission, which
@@ -102,7 +102,7 @@ type Config struct {
 	// Backends, when non-empty, turns the server into a fleet coordinator:
 	// jobs are not simulated locally but fanned out as ?shard=i/n streams
 	// across the listed backend base URLs and k-way merged back
-	// (byte-identically, via sweep.Merge). See coordinator.go.
+	// (byte-identically, via sweep.MergeLines). See coordinator.go.
 	Backends []string
 	// FleetClient is the coordinator's HTTP client (injectable for tests).
 	// Defaults to http.DefaultClient.
@@ -762,7 +762,8 @@ const clientStallNanos = int64(100 * time.Millisecond)
 // record is one grid point on its way to the client. The local worker
 // pool yields a computed record (rec, with its tracer when traced) or,
 // after a restart, the line journaled for that point; a coordinator's
-// merge yields each backend line. deliver takes all of them.
+// merge yields each backend line. deliver takes all of them. index is the
+// point's grid index, which a given line must carry as its own.
 type record struct {
 	index int
 	rec   any // campaign.Record or sweep.RunResult; nil for a given line
@@ -786,7 +787,7 @@ func (s *Server) run(ctx context.Context, j *Job, w io.Writer, rc *http.Response
 		func(i int) record {
 			if line, ok := j.resume[i]; ok {
 				s.recordsResumed.Add(1)
-				return record{line: line}
+				return record{index: i, line: line}
 			}
 			s.pool <- struct{}{}
 			s.busy.Add(1)
@@ -829,13 +830,16 @@ func (s *Server) compute(ctx context.Context, j *Job, i int) record {
 }
 
 // deliver is the one path a record takes to the client, whatever its
-// source. A computed record is marshaled; a given line is kept as is.
-// The line is written and flushed first, so nothing after it delays the
-// client. Then the fields of a given line that the fold reads are
-// decoded (decode skips its nested arrays); the line is acked to the
-// journal, verbatim, unless it was resumed; and the record is folded into
-// the aggregates, archived, accounted as host bytes, published on the
-// snapshot cadence and counted as streamed.
+// source. A computed record is marshaled. A given line is kept as is, but
+// first decoded (decode skips its nested arrays): that decode is the
+// line's one check, and a line it refuses — torn, mistyped, or
+// carrying another grid index than the one it was given at — fails the
+// job before any byte of it is written. The line is then written and
+// flushed, so nothing after it delays the client; acked to the journal,
+// verbatim and unchecked (it was marshaled or decoded), unless it was
+// resumed; and the record is folded into the aggregates, archived,
+// accounted as host bytes, published on the snapshot cadence and counted
+// as streamed.
 func (s *Server) deliver(j *Job, w io.Writer, rc *http.ResponseController, r record) error {
 	var out []byte
 	if r.rec != nil {
@@ -845,6 +849,10 @@ func (s *Server) deliver(j *Job, w io.Writer, rc *http.ResponseController, r rec
 		}
 		out = append(data, '\n')
 	} else {
+		var err error
+		if r.rec, err = j.decode(r.line, r.index); err != nil {
+			return err
+		}
 		// A copy: a merged line lives in the merge's reused buffer.
 		out = append(append(make([]byte, 0, len(r.line)+1), r.line...), '\n')
 	}
@@ -863,17 +871,11 @@ func (s *Server) deliver(j *Job, w io.Writer, rc *http.ResponseController, r rec
 		h.Warn("client stall", hostobs.Fields{Job: j.id, Trace: j.traceID,
 			Detail: "record write blocked " + time.Duration(d).String()})
 	}
-	if r.rec == nil {
-		var err error
-		if r.rec, r.index, err = j.decode(line); err != nil {
-			return err
-		}
-	}
 	// A resumed index was acked in a previous life; re-acking would be a
 	// harmless duplicate (replay is idempotent) but is skipped to keep the
 	// log minimal.
 	if _, resumed := j.resume[r.index]; j.journaled && !resumed {
-		if err := s.cfg.Journal.AckShard(j.id, r.index, line); err != nil {
+		if err := s.cfg.Journal.AckValid(j.id, r.index, line); err != nil {
 			return err
 		}
 	}
@@ -920,26 +922,36 @@ func (j *Job) weights() []float64 {
 	return sweep.Weights(j.sweepGrid)
 }
 
-// decode parses a given record line into the job's record type for the
-// fold. It decodes every field except the nested per-window, per-core and
-// per-firewall arrays, which the aggregates never read and which make up
-// most of a recovery record's bytes: those are only checked to be arrays
-// (or null) and come back nil. The line's bytes are what the client, the
-// journal and the archive get; the decoded record only feeds foldLocked.
-func (j *Job) decode(line []byte) (rec any, index int, err error) {
+// decode parses a given record line, the line of grid point index, into
+// the job's record type for the fold. It is one json.Unmarshal, whose
+// validity scan of the whole line is the only one the line gets: the
+// merge that yielded it read only its leading index, and the journal acks
+// it unchecked. It decodes every field except the nested per-window,
+// per-core and per-firewall arrays, which the aggregates never read and
+// which make up most of a recovery record's bytes: those are only checked
+// to be arrays (or null) and come back nil. A line whose decoded index is
+// not index is refused: the merge orders by the first "index" key, and
+// encoding/json keeps the last one it matches. The line's bytes are what
+// the client, the journal and the archive get; the decoded record only
+// feeds foldLocked.
+func (j *Job) decode(line []byte, index int) (rec any, err error) {
+	var got int
 	if j.campaignGrid != nil {
 		var r foldedCampaign
 		err = json.Unmarshal(line, &r)
-		rec, index = r.Record, r.Index
+		rec, got = r.Record, r.Index
 	} else {
 		var r foldedSweep
 		err = json.Unmarshal(line, &r)
-		rec, index = r.RunResult, r.Index
+		rec, got = r.RunResult, r.Index
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("decoding record: %w", err)
+		return nil, fmt.Errorf("decoding record: %w", err)
 	}
-	return rec, index, nil
+	if got != index {
+		return nil, fmt.Errorf("decoding record: grid point %d carries index %d", index, got)
+	}
+	return rec, nil
 }
 
 // foldedCampaign and foldedSweep are decode's targets: the record type,

@@ -26,8 +26,8 @@ func TestPairBuildAllocation(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per >= 192<<10 {
-		t.Fatalf("a distributed pair allocates %d KiB, want < 192", per>>10)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per >= 96<<10 {
+		t.Fatalf("a distributed pair allocates %d KiB, want < 96", per>>10)
 	}
 }
 

@@ -46,7 +46,7 @@ func (s *refStream) advance() error {
 			continue
 		}
 		idx, ok := lineIndex(raw)
-		if !ok {
+		if !ok || !json.Valid(raw) {
 			return fmt.Errorf("shard %d: line without a grid index", s.id)
 		}
 		if s.line != nil && idx <= s.idx {
@@ -109,10 +109,13 @@ func refMerge(w io.Writer, shards ...io.Reader) error {
 // exactly what the priming reference accepts and then write the same
 // bytes, and when it accepts its input its output must be exactly the
 // input's non-empty lines, trimmed, ordered by grid index, with the
-// indices 0..N-1 in order and every line valid JSON. Plain go test replays
-// the seeds below and the corpus in testdata/fuzz/FuzzMerge: real records,
-// a duplicate index, an out-of-order pair, a gap, a torn last line and a
-// line whose first key is not index.
+// indices 0..N-1 in order and every line valid JSON. MergeLines, which
+// leaves the JSON check to its caller, must accept whatever Merge accepts
+// and emit the same lines, each with the index Merge ordered it by; what
+// it accepts beyond that must hold a line that is not valid JSON. Plain go
+// test replays the seeds below and the corpus in testdata/fuzz/FuzzMerge:
+// real records, a duplicate index, an out-of-order pair, a gap, a torn
+// last line and a line whose first key is not index.
 func FuzzMerge(f *testing.F) {
 	f.Add([]byte("{\"index\":0}\n{\"index\":2}\n"), []byte("{\"index\":1}\n"))
 	// A gap found only at the end: every index up to 4 merges before 5
@@ -123,11 +126,29 @@ func FuzzMerge(f *testing.F) {
 	// An empty second shard.
 	f.Add([]byte("{\"index\":0}\n{\"index\":1}\n"), []byte(""))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		var out, ref bytes.Buffer
+		var out, ref, lines bytes.Buffer
 		err := Merge(&out, bytes.NewReader(a), bytes.NewReader(b))
 		refErr := refMerge(&ref, bytes.NewReader(a), bytes.NewReader(b))
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("Merge = %v, reference = %v", err, refErr)
+		}
+		allValid := true
+		linesErr := MergeLines([]io.Reader{bytes.NewReader(a), bytes.NewReader(b)}, func(index int, line []byte) error {
+			if idx, ok := firstIndex(line); !ok || idx != index {
+				t.Fatalf("MergeLines emitted %q as index %d", line, index)
+			}
+			allValid = allValid && json.Valid(line)
+			lines.Write(line)
+			lines.WriteByte('\n')
+			return nil
+		})
+		switch {
+		case err == nil && linesErr != nil:
+			t.Fatalf("Merge accepted what MergeLines refused: %v", linesErr)
+		case err != nil && linesErr == nil && allValid:
+			t.Fatalf("MergeLines accepted only valid lines where Merge refused: %v", err)
+		case err == nil && !bytes.Equal(lines.Bytes(), out.Bytes()):
+			t.Fatalf("MergeLines emitted %q, Merge wrote %q", lines.Bytes(), out.Bytes())
 		}
 		if err != nil {
 			return

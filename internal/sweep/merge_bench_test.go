@@ -11,11 +11,12 @@ import (
 	"repro/internal/sweep"
 )
 
-// BenchmarkMerge times the coordinator-merge layer: Merge over the two
-// shard streams of a fleet-recovery-shaped job (a four-point staged
-// recovery campaign whose records carry throughput windows, 2.5-49 KB a
-// line), each shard laid out by Shard.Slice as a coordinator's two
-// backends stream it. One op is the whole job.
+// BenchmarkMerge times the coordinator-merge layer: MergeLines, which a
+// coordinator merges through, over the two shard streams of a
+// fleet-recovery-shaped job (a four-point staged recovery campaign whose
+// records carry throughput windows, 2.5-49 KB a line), each shard laid
+// out by Shard.Slice as a coordinator's two backends stream it. One op is
+// the whole job. Merge, the CLI's merge, adds one json.Valid per line.
 func BenchmarkMerge(b *testing.B) {
 	cfgs, err := spec.NewCampaign(spec.CampaignSpec{
 		Scenarios:   []string{"burst-flood", "zone-escape"},
@@ -46,7 +47,9 @@ func BenchmarkMerge(b *testing.B) {
 	b.SetBytes(int64(len(shards[0]) + len(shards[1])))
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := sweep.Merge(io.Discard, bytes.NewReader(shards[0]), bytes.NewReader(shards[1])); err != nil {
+		err := sweep.MergeLines([]io.Reader{bytes.NewReader(shards[0]), bytes.NewReader(shards[1])},
+			func(int, []byte) error { return nil })
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

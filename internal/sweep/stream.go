@@ -112,8 +112,8 @@ func writeCSVRows(cw *csv.Writer, r RunResult) error {
 
 // shardStream is one shard's JSONL stream during a merge: a scanner plus
 // the last line read, its parsed grid index, and whether that line still
-// waits to be written. The line is a slice of the scanner's buffer: the
-// merge scans a shard again only after its held line is written, so the
+// waits to be emitted. The line is a slice of the scanner's buffer: the
+// merge scans a shard again only after its held line is emitted, so the
 // bytes stay put until then.
 type shardStream struct {
 	id   int
@@ -122,18 +122,18 @@ type shardStream struct {
 	line []byte // nil until the first line is read
 	held bool
 	done bool
-	last []byte // the last line and a newline, when the stream ends without one
 }
 
-// advance loads the stream's next non-empty line, parsing its index.
-func (s *shardStream) advance() error {
+// advance loads the stream's next non-empty line and parses its index;
+// with valid set, the rest of the line must be valid JSON too.
+func (s *shardStream) advance(valid bool) error {
 	for s.sc.Scan() {
 		raw := bytes.TrimSpace(s.sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
 		idx, ok := lineIndex(raw)
-		if !ok {
+		if !ok || valid && !json.Valid(raw) {
 			return fmt.Errorf("sweep: shard %d: line without a grid index: %.80s", s.id, raw)
 		}
 		if s.line != nil && idx <= s.idx {
@@ -150,19 +150,6 @@ func (s *shardStream) advance() error {
 	return nil
 }
 
-// withNewline returns the held line followed by a newline. Inside the
-// scanner's buffer the line is followed by the newline that ended it —
-// unless it was the stream's last line, or trimmed whitespace came
-// between — so that slice is the answer, read and not written: the rest
-// of the buffer holds read-ahead bytes. Otherwise the line is copied.
-func (s *shardStream) withNewline() []byte {
-	if n := len(s.line); cap(s.line) > n && s.line[:n+1][n] == '\n' {
-		return s.line[:n+1]
-	}
-	s.last = append(append(s.last[:0], s.line...), '\n')
-	return s.last
-}
-
 // scanBufSize is the first buffer of a merge's shard scanner, which grows
 // past it only for a longer line; mergeBufs keeps those buffers from one
 // merge to the next, as a coordinator merges every job it runs.
@@ -172,10 +159,8 @@ var mergeBufs = sync.Pool{New: func() any { return new([scanBufSize]byte) }}
 
 // lineIndex returns a record line's grid index, read from the line's first
 // key, which must be "index" (every record type leads with it), without
-// decoding the rest. ok is false unless that key holds an integer and the
-// whole line is valid JSON: the check is one scan, and it is what keeps a
-// torn line out of the merged stream, which a server writes to its client
-// before decoding it.
+// decoding the rest of the line or checking that it is valid JSON. ok is
+// false unless that key holds an integer.
 func lineIndex(raw []byte) (idx int, ok bool) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
@@ -193,7 +178,7 @@ func lineIndex(raw []byte) (idx int, ok bool) {
 	if idx, err = strconv.Atoi(string(num)); err != nil {
 		return 0, false
 	}
-	return idx, json.Valid(raw)
+	return idx, true
 }
 
 // Merge recombines shard JSONL streams into the exact stream an unsharded
@@ -203,15 +188,39 @@ func lineIndex(raw []byte) (idx int, ok bool) {
 // line per shard — merging stays streaming no matter how large the grid —
 // and writes a line the moment it holds the next grid index: it reads a
 // shard (the lowest-numbered one holding no line) only while none of the
-// lines it holds is that index, so a coordinator's first line does not
-// wait for every backend's first record. Every line must be valid JSON
-// whose first key is its "index", as every record's is. Duplicate indices
-// across shards are an error (overlapping shards), and so is any gap in
-// the merged sequence: the shards of a full partition cover indices
-// 0..N-1 contiguously, so a hole means a shard is missing and the output
-// would be a silently incomplete dataset. A refusal can come after lines
-// already written.
+// lines it holds is that index. Every line must be valid JSON whose first
+// key is its "index", as every record's is: the check is one scan per
+// line, made as the line is read, and it keeps a torn line out of the
+// merged stream. Duplicate indices across shards are an error (overlapping
+// shards), and so is any gap in the merged sequence: the shards of a full
+// partition cover indices 0..N-1 contiguously, so a hole means a shard is
+// missing and the output would be a silently incomplete dataset. A refusal
+// can come after lines already written.
 func Merge(w io.Writer, shards ...io.Reader) error {
+	var last []byte
+	return merge(shards, true, func(_ int, line []byte) error {
+		_, err := w.Write(withNewline(line, &last))
+		return err
+	})
+}
+
+// MergeLines is Merge for a caller that checks each line itself, as a
+// fleet coordinator does by decoding the line before it writes it: the
+// same merge, refusing the same streams, except that it reads only each
+// line's leading index and does not check that the rest of the line is
+// valid JSON. It hands emit each line in grid order, with its index and
+// without its newline. The line lives in the merge's reused buffer: it is
+// valid only until emit returns, and emit must not write to it.
+func MergeLines(shards []io.Reader, emit func(index int, line []byte) error) error {
+	return merge(shards, false, func(index int, line []byte) error {
+		return emit(index, line[:len(line):len(line)])
+	})
+}
+
+// merge is the k-way merge behind Merge and MergeLines; valid selects
+// Merge's check of every line. emit gets a slice of the held shard's
+// scanner buffer, whose capacity runs on to the buffer's end.
+func merge(shards []io.Reader, valid bool, emit func(index int, line []byte) error) error {
 	streams := make([]*shardStream, len(shards))
 	for i, r := range shards {
 		buf := mergeBufs.Get().(*[scanBufSize]byte)
@@ -238,11 +247,11 @@ func Merge(w io.Writer, shards ...io.Reader) error {
 		case ready != nil:
 			next++
 			ready.held = false
-			if _, err := w.Write(ready.withNewline()); err != nil {
+			if err := emit(ready.idx, ready.line); err != nil {
 				return err
 			}
 		case idle != nil:
-			if err := idle.advance(); err != nil {
+			if err := idle.advance(valid); err != nil {
 				return err
 			}
 		case ahead != nil:
@@ -251,4 +260,18 @@ func Merge(w io.Writer, shards ...io.Reader) error {
 			return nil
 		}
 	}
+}
+
+// withNewline returns a held line followed by a newline. Inside the
+// scanner's buffer the line is followed by the newline that ended it —
+// unless it was the stream's last line, or trimmed whitespace came
+// between — so that slice is the answer, read and not written: the rest
+// of the buffer holds read-ahead bytes. Otherwise the line is copied into
+// *last.
+func withNewline(line []byte, last *[]byte) []byte {
+	if n := len(line); cap(line) > n && line[:n+1][n] == '\n' {
+		return line[:n+1]
+	}
+	*last = append(append((*last)[:0], line...), '\n')
+	return *last
 }
